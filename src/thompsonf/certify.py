@@ -250,9 +250,23 @@ def saturate(seeds, L: int) -> frozenset[Relation]:
 # --- certificate checks -------------------------------------------------------
 
 
-def verify_witness(cert: Certificate, wit: Witness) -> bool:
-    """Evaluate the witness word and re-check its claimed branch pair."""
-    h = eval_word(wit.word, cert.assignment())
+def _eval(cert: Certificate, word: GroupWord, memo: dict[GroupWord, Element]) -> Element:
+    """eval_word over the certificate's pair, at most once per word in memo."""
+    h = memo.get(word)
+    if h is None:
+        h = memo[word] = eval_word(word, cert.assignment())
+    return h
+
+
+def verify_witness(
+    cert: Certificate, wit: Witness, memo: dict[GroupWord, Element] | None = None
+) -> bool:
+    """Evaluate the witness word and re-check its claimed branch pair.
+
+    `memo` maps already evaluated words to their elements; pass one dict
+    for a whole check so that each distinct word is evaluated once.
+    """
+    h = _eval(cert, wit.word, {} if memo is None else memo)
     return has_branch_pair(h, wit.lhs, wit.rhs)
 
 
@@ -303,11 +317,11 @@ def _schema_error(
     return None
 
 
-def _slope_error(cert: Certificate) -> str | None:
+def _slope_error(cert: Certificate, memo: dict[GroupWord, Element]) -> str | None:
     alpha_word = cert.slope.alpha
     if "1" not in alpha_word:
         return "alpha must lie in (0,1)"
-    h = eval_word(cert.slope.word, cert.assignment())
+    h = _eval(cert, cert.slope.word, memo)
     alpha = word_to_dyadic(alpha_word)
     if evaluate(h, alpha) != alpha:
         return f"element does not fix .{alpha_word}"
@@ -331,6 +345,11 @@ def _structural_error(cert: Certificate) -> str | None:
         return "depth must be positive"
     if cert.left_schema.base_count < 0 or cert.right_schema.base_count < 0:
         return "negative base_count"
+    symbols = cert.assignment()
+    for word in [wit.word for wit in _all_witnesses(cert)] + [cert.slope.word]:
+        for name, _ in word:
+            if name not in symbols:
+                return f"unknown symbol {name!r} in '{format_group_word(word)}'"
     return None
 
 
@@ -412,8 +431,9 @@ def certify_normal_generation(
     err = _structural_error(cert)
     if err:
         return _fail("invalid-certificate", err)
+    memo: dict[GroupWord, Element] = {}  # this check's evaluations, never shared
     for wit in _all_witnesses(cert):
-        if not verify_witness(cert, wit):
+        if not verify_witness(cert, wit, memo):
             return _fail(
                 "witness-failed",
                 f"word '{format_group_word(wit.word)}' does not carry "
@@ -427,7 +447,7 @@ def certify_normal_generation(
     if violated:
         code, detail = violated
         return _fail(code, f"{detail} at closure bound {effective}")
-    err = _slope_error(cert)
+    err = _slope_error(cert, memo)
     if err:
         return _fail("slope", err)
     return _pass()
@@ -551,10 +571,27 @@ def _element_from_obj(obj, where: str) -> Element:
         raise CertificateFormatError("invalid-element", f"{where}: {exc}") from exc
 
 
+def _group_word_from_obj(text) -> GroupWord:
+    if not isinstance(text, str):
+        raise TypeError(f"group word must be a string, got {text!r}")
+    word = parse_group_word(text)
+    for name, _ in word:
+        if name not in ("f", "g"):
+            raise ValueError(f"unknown symbol {name!r} in group word {text!r}")
+    return word
+
+
+def _int_from_obj(value, field: str) -> int:
+    # bool is an int subclass and a float would be silently truncated
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _witness_from_obj(obj, where: str) -> Witness:
     try:
         return Witness(
-            word=parse_group_word(obj["word"]),
+            word=_group_word_from_obj(obj["word"]),
             lhs=word_from_text(obj["lhs"]),
             rhs=word_from_text(obj["rhs"]),
         )
@@ -571,7 +608,7 @@ def _schema_from_obj(obj, where: str) -> ShiftSchema:
             tail=tail,
             stem=word_from_text(obj["stem"]),
             suffix=word_from_text(obj["suffix"]),
-            base_count=int(obj["base_count"]),
+            base_count=_int_from_obj(obj["base_count"], "base_count"),
             witness=_witness_from_obj(obj["witness"], where + ".witness"),
         )
     except CertificateFormatError:
@@ -594,10 +631,10 @@ def certificate_from_dict(obj) -> Certificate:
         )
         slope_obj = obj["slope"]
         slope = SlopeWitness(
-            word=parse_group_word(slope_obj["word"]),
+            word=_group_word_from_obj(slope_obj["word"]),
             alpha=word_from_text(slope_obj["alpha"]),
         )
-        depth = int(obj["depth"])
+        depth = _int_from_obj(obj["depth"], "depth")
     except CertificateFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .element import Element, abelianize, has_branch_pair, invert
+from .element import Element, _find_branch, abelianize, has_branch_pair, invert
 from .words import Word, in_B_prime, interval_less
 
 
@@ -62,17 +62,16 @@ def zero_tail_pair(f: Element, s: Word) -> tuple[int, int]:
     directly rather than searching.
     """
     sp = s.rstrip("0")
-    for u, v in f.pairs:
-        if u.startswith(sp) and set(u[len(sp):]) <= {"0"}:
-            if not (v.startswith(sp) and set(v[len(sp):]) <= {"0"}):
-                raise PreconditionViolated(f"element does not fix .{sp or '0'}")
-            n, m = len(u) - len(sp), len(v) - len(sp)
-            if n <= m:
-                raise PreconditionViolated(
-                    f"slope at .{sp or '0'}+ is 2^{m - n}, need >= 2"
-                )
-            return n, m
-    raise PreconditionViolated(f"no branch starts at .{sp or '0'}")
+    # the branch containing .sp from the right: u prefixes sp or u == sp0^n
+    u, v = f.pairs[_find_branch(f.pairs, sp, "0")]
+    if not u.startswith(sp):
+        raise PreconditionViolated(f"no branch starts at .{sp or '0'}")
+    if not (v.startswith(sp) and set(v[len(sp):]) <= {"0"}):
+        raise PreconditionViolated(f"element does not fix .{sp or '0'}")
+    n, m = len(u) - len(sp), len(v) - len(sp)
+    if n <= m:
+        raise PreconditionViolated(f"slope at .{sp or '0'}+ is 2^{m - n}, need >= 2")
+    return n, m
 
 
 def find_uvw(f: Element) -> UVWTriple:
@@ -100,8 +99,12 @@ def find_uvw(f: Element) -> UVWTriple:
     w = sp + "0" * m + "1"
     if not (in_B_prime(u) and in_B_prime(v) and in_B_prime(w)):
         raise PreconditionViolated(f"triple escaped B': {u!r}, {v!r}, {w!r}")
-    assert interval_less(u, v) and interval_less(v, w)
-    assert has_branch_pair(h, u, v) and has_branch_pair(h, v, w)
+    if not (interval_less(u, v) and interval_less(v, w)):
+        raise PreconditionViolated(
+            f"triple is not in interval order: {u!r}, {v!r}, {w!r}"
+        )
+    if not (has_branch_pair(h, u, v) and has_branch_pair(h, v, w)):
+        raise PreconditionViolated(f"element does not carry {u!r} -> {v!r} -> {w!r}")
     return UVWTriple(sign, u, v, w)
 
 
@@ -118,6 +121,10 @@ def one_tail_pair(f: Element) -> tuple[int, int, int]:
     h = f if b > 0 else invert(f)
     u, v = h.pairs[-1]
     m, ell = len(u), len(u) - len(v)
-    assert set(u) <= {"1"} and set(v) <= {"1"} and m > ell >= 1
-    assert has_branch_pair(h, "1" * m, "1" * (m - ell))
+    if not (set(u) <= {"1"} and set(v) <= {"1"} and m > ell >= 1):
+        raise PreconditionViolated(
+            f"last pair {u!r} -> {v!r} is not an all-ones tail pair"
+        )
+    if not has_branch_pair(h, "1" * m, "1" * (m - ell)):
+        raise PreconditionViolated(f"element does not carry 1^{m} -> 1^{m - ell}")
     return sign, m, ell

@@ -13,6 +13,9 @@ The generators:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
 from .words import (
     Dyadic,
     Word,
@@ -125,53 +128,51 @@ X0 = from_branch_pairs([("00", "0"), ("01", "10"), ("1", "11")])
 X1 = from_branch_pairs([("0", "0"), ("100", "10"), ("101", "110"), ("11", "111")])
 
 
-def _tree_closure(code) -> set[Word]:
-    nodes: set[Word] = set()
-    for u in code:
-        for i in range(len(u) + 1):
-            nodes.add(u[:i])
-    return nodes
+def _merge(fp, gp) -> list[tuple[Word, Word]]:
+    """Unreduced pairs of f then g, from their tables fp and gp.
 
-
-def _leaves_of(nodes: set[Word], root: Word = "") -> list[Word]:
-    # left-to-right leaf list of the prefix-closed node set
-    out: list[Word] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node + "0" in nodes or node + "1" in nodes:
-            stack.append(node + "1")
-            stack.append(node + "0")
+    One two-pointer pass over f's range against g's domain, the leaves of
+    their coarsest common refinement. Both codes are sorted in interval
+    order and the two current words share a left endpoint, so the shorter
+    one prefixes the longer: the longer is pulled back through f or pushed
+    forward through g, and the pointer of the longer advances.
+    """
+    out = []
+    i = j = 0
+    n1, n2 = len(fp), len(gp)
+    while i < n1 and j < n2:
+        u, v = fp[i]
+        p, q = gp[j]
+        if len(v) <= len(p):
+            out.append((u + p[len(v):], q))
+            j += 1
+            if j == n2 or not gp[j][0].startswith(v):
+                i += 1
         else:
-            out.append(node)
+            out.append((u, q + v[len(p):]))
+            i += 1
+            if i == n1 or not fp[i][1].startswith(p):
+                j += 1
     return out
 
 
 def common_refinement(code1, code2) -> list[Word]:
-    """Leaves of the union of the two codes' trees (coarsest common refinement)."""
-    return _leaves_of(_tree_closure(code1) | _tree_closure(code2))
+    """Leaves of the union of the two codes' trees (coarsest common refinement).
 
-
-def _preimage(f: Element, s: Word) -> Word:
-    # s must be a descendant-or-equal of some range branch
-    for u, v in f.pairs:
-        if s.startswith(v):
-            return u + s[len(v):]
-    raise ValueError(f"word {s!r} not under any range branch")
-
-
-def _image(f: Element, s: Word) -> Word:
-    for u, v in f.pairs:
-        if s.startswith(u):
-            return v + s[len(u):]
-    raise ValueError(f"word {s!r} not under any domain branch")
+    Both codes must be complete prefix codes listed in interval order, as the
+    domain and range of an Element are; anything else raises InvalidCode.
+    """
+    code1, code2 = list(code1), list(code2)
+    for code in (code1, code2):
+        if not is_complete_prefix_code(code):
+            raise InvalidCode(f"not a complete prefix code in interval order: {code}")
+    # merging two identity tables puts each refinement leaf on both sides
+    return [s for s, _ in _merge([(c, c) for c in code1], [(c, c) for c in code2])]
 
 
 def compose(f: Element, g: Element) -> Element:
     """The element acting as f then g (left-to-right composition)."""
-    mid = common_refinement(f.range, g.domain)
-    pairs = [(_preimage(f, s), _image(g, s)) for s in mid]
-    return Element(_reduce_pairs(pairs))
+    return Element(_reduce_pairs(_merge(f.pairs, g.pairs)))
 
 
 def invert(f: Element) -> Element:
@@ -179,27 +180,35 @@ def invert(f: Element) -> Element:
 
 
 def power(f: Element, k: int) -> Element:
+    """f^k by repeated squaring: O(log |k|) composes."""
     if k < 0:
         f, k = invert(f), -k
-    out = IDENTITY
-    for _ in range(k):
-        out = compose(out, f)
-    return out
+    out = None
+    while k:
+        if k & 1:
+            out = f if out is None else compose(out, f)
+        k >>= 1
+        if k:
+            f = compose(f, f)
+    return IDENTITY if out is None else out
 
 
-def _find_branch(pairs, stem: Word, tail: str) -> tuple[Word, Word, int]:
-    """The pair (u, v) whose domain interval contains .stem followed by tail^oo.
+_DOMAIN = itemgetter(0)
 
-    Returns (u, v, extra) where extra >= 0 is how many tail symbols beyond
-    stem were consumed (u == stem + tail*extra) or extra == -1 when u is a
-    proper prefix of stem.
+
+def _find_branch(pairs, stem: Word, tail: str) -> int:
+    """Index of the pair whose domain interval contains .stem tail tail ...
+
+    That domain word u either prefixes stem or equals stem + tail*e. Domain
+    words are sorted in interval order, so one bisect finds it: for tail 0 it
+    is the last u <= stem if that u prefixes stem, else the next one; for
+    tail 1 it is the last u below stem + "2", i.e. the last word before the
+    block of words extending stem ends.
     """
-    for u, v in pairs:
-        if stem.startswith(u):
-            return u, v, -1 if len(u) < len(stem) else 0
-        if u.startswith(stem) and set(u[len(stem):]) <= {tail}:
-            return u, v, len(u) - len(stem)
-    raise ValueError(f"no branch at .{stem or '0'} with tail {tail!r}")
+    if tail == "1":
+        return bisect_left(pairs, stem + "2", key=_DOMAIN) - 1
+    i = bisect_right(pairs, stem, key=_DOMAIN)
+    return i - 1 if i and stem.startswith(pairs[i - 1][0]) else i
 
 
 def evaluate(f: Element, t: Dyadic) -> Dyadic:
@@ -207,12 +216,9 @@ def evaluate(f: Element, t: Dyadic) -> Dyadic:
     if t.num == (1 << t.exp):  # t == 1
         return t
     s = t.to_word()
-    u, v, extra = _find_branch(f.pairs, s, "0")
-    if extra == -1 or extra == 0:
-        tail = s[len(u):] if extra == -1 else ""
-        return word_to_dyadic(v + tail)
-    # u == s0^extra: t is the left endpoint of [u]
-    return word_to_dyadic(v)
+    # u prefixes s (t inside [u]) or u == s0^e (t is the left endpoint of [u])
+    u, v = f.pairs[_find_branch(f.pairs, s, "0")]
+    return word_to_dyadic(v + s[len(u):])
 
 
 def slope_right(f: Element, t: Dyadic) -> int:
@@ -220,7 +226,7 @@ def slope_right(f: Element, t: Dyadic) -> int:
     if t.num == (1 << t.exp):
         raise ValueError("no right slope at t = 1")
     s = t.to_word()
-    u, v, _ = _find_branch(f.pairs, s, "0")
+    u, v = f.pairs[_find_branch(f.pairs, s, "0")]
     return len(u) - len(v)
 
 
@@ -233,7 +239,7 @@ def slope_left(f: Element, t: Dyadic) -> int:
     else:
         s = t.to_word()  # ends in 1
         stem = s[:-1] + "0"
-    u, v, _ = _find_branch(f.pairs, stem, "1")
+    u, v = f.pairs[_find_branch(f.pairs, stem, "1")]
     return len(u) - len(v)
 
 
@@ -274,17 +280,18 @@ def image_of_interval(f: Element, u: Word) -> Word | None:
     i.e. u -> v is not a branch pair of any diagram of f.
     """
     check_word(u)
-    for ui, vi in f.pairs:
-        if u.startswith(ui):
-            return vi + u[len(ui):]
+    pairs = f.pairs
+    first = _find_branch(pairs, u, "0")
+    u0, v0 = pairs[first]
+    if u.startswith(u0):
+        return v0 + u[len(u0):]
     # u is a proper ancestor of several branches: they must all translate
-    covering = [(ui, vi) for ui, vi in f.pairs if ui.startswith(u)]
-    u0, v0 = covering[0]
+    covering = pairs[first + 1 : _find_branch(pairs, u, "1") + 1]
     sigma = u0[len(u):]
     if not v0.endswith(sigma):
         return None
     v = v0[: len(v0) - len(sigma)] if sigma else v0
-    for ui, vi in covering[1:]:
+    for ui, vi in covering:
         if vi != v + ui[len(u):]:
             return None
     return v
@@ -325,12 +332,13 @@ def format_group_word(word: GroupWord) -> str:
 
 
 def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
-    out = IDENTITY
+    out = None
     for name, exp in word:
         if name not in assignment:
             raise UnknownSymbol(name)
-        out = compose(out, power(assignment[name], exp))
-    return out
+        step = power(assignment[name], exp)
+        out = step if out is None else compose(out, step)
+    return IDENTITY if out is None else out
 
 
 # --- text codec -------------------------------------------------------------

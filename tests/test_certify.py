@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import random
+import time
 
 import pytest
 from dataclasses import replace
@@ -9,10 +11,12 @@ from thompsonf import (
     X0,
     X1,
     compose,
+    eval_word,
     has_branch_pair,
     invert,
     synthesize,
 )
+from thompsonf import certify as certify_module
 from thompsonf.certify import (
     Certificate,
     CertificateFormatError,
@@ -193,6 +197,36 @@ def test_bound_override(good):
     assert low.code == "invalid-certificate"
 
 
+def test_padded_witness_word_checks_fast():
+    cert = synthesize(X0, 3, 3).certificate
+    wit = cert.witnesses[0]
+    padded = replace(wit, word=(("g", 300), ("g", -300)) + wit.word)
+    cert = replace(cert, witnesses=(padded,) + cert.witnesses[1:])
+    start = time.perf_counter()
+    verdict = certify_normal_generation(cert)
+    assert verdict.ok
+    assert time.perf_counter() - start < 5.0
+
+
+def test_each_distinct_word_is_evaluated_once(monkeypatch):
+    cert = synthesize(X0, 3, 3).certificate
+    words = [w.word for w in (*cert.witnesses, cert.left_schema.witness,
+                              cert.right_schema.witness)] + [cert.slope.word]
+    assert len(set(words)) < len(words)  # the words do repeat
+    calls = collections.Counter()
+
+    def counting_eval_word(word, assignment):
+        calls[word] += 1
+        return eval_word(word, assignment)
+
+    monkeypatch.setattr(certify_module, "eval_word", counting_eval_word)
+    assert certify_normal_generation(cert).ok
+    assert calls == collections.Counter(set(words))
+    # the memo lives for one call only
+    assert certify_normal_generation(cert).ok
+    assert calls == collections.Counter({w: 2 for w in set(words)})
+
+
 def test_closure_seeds_are_true_relations(good):
     fg = {"f": good.f, "g": good.g}
     carried = set()
@@ -238,6 +272,39 @@ def test_json_reports_bad_tag(good):
 def test_json_rejects_non_object():
     with pytest.raises(CertificateFormatError):
         certificate_from_json("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("witnesses", 0, "word"), 7),
+        (("slope", "word"), ["f"]),
+        (("witnesses", 0, "word"), "f h^2"),
+        (("slope", "word"), "q^2 g"),
+        (("left_schema", "base_count"), 2.7),
+        (("right_schema", "base_count"), True),
+        (("depth",), 12.0),
+        (("depth",), "12"),
+    ],
+)
+def test_json_decoding_is_strict(good, path, value):
+    doc = certificate_to_dict(good)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(CertificateFormatError) as err:
+        certificate_from_json(json.dumps(doc))
+    assert err.value.code == "invalid-certificate"
+
+
+def test_unknown_symbol_is_a_fail_value(good):
+    bad_wit = replace(good.witnesses[0], word=(("h", 1),) + good.witnesses[0].word)
+    bad = replace(good, witnesses=(bad_wit,) + good.witnesses[1:])
+    verdict = certify_normal_generation(bad)
+    assert (verdict.ok, verdict.code) == (False, "invalid-certificate")
+    bad = replace(good, slope=SlopeWitness((("q", 2),), good.slope.alpha))
+    assert certify_normal_generation(bad).code == "invalid-certificate"
 
 
 # --- brute-force oracle ----------------------------------------------------------

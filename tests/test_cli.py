@@ -108,6 +108,18 @@ def test_certify_depth_flag(tmp_path):
     assert out.startswith("FAIL invalid-certificate")
 
 
+def test_certify_reports_unknown_symbol_as_fail(tmp_path):
+    cfile = tmp_path / "cert.json"
+    go(["synthesize", "x0", "--target=1,1", "--cert", str(cfile)])
+    doc = json.loads(cfile.read_text())
+    doc["witnesses"][0]["word"] = "h " + doc["witnesses"][0]["word"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, _ = go(["certify", str(bad)])
+    assert rc == 1
+    assert out.startswith("FAIL invalid-certificate")
+
+
 def test_certify_rejects_tampered_file(tmp_path):
     cfile = tmp_path / "cert.json"
     go(["synthesize", "x0", "--target=1,1", "--cert", str(cfile)])

@@ -126,3 +126,14 @@ def test_identity_input():
         find_uvw(IDENTITY)
     with pytest.raises(IdentityInput):
         find_uvw(compose(X0, invert(X0)))
+
+
+def test_output_guards_raise_without_asserts(monkeypatch):
+    # the guards must survive python -O, so they raise instead of asserting
+    import thompsonf.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "has_branch_pair", lambda h, u, v: False)
+    with pytest.raises(PreconditionViolated):
+        find_uvw(X0)
+    with pytest.raises(PreconditionViolated):
+        one_tail_pair(X0)
