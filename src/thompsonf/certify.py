@@ -384,18 +384,17 @@ class _BoundedRelation:
         return self._cong.same(u, v)
 
 
-def conditions_error(
-    cert: Certificate, seeds, bound: int | None = None
-) -> tuple[str, str] | None:
+def conditions_error(cert: Certificate, seeds, bound: int) -> tuple[str, str] | None:
     """Check tree conditions (1)-(4) against the closure of the given seeds.
 
     Returns (code, detail) for the first violated condition, None if all
     hold. Witness verification and the slope check live elsewhere; this is
     the piece that depends on which relation seeds are available. The
-    default engine is exact and unbounded; passing `bound` switches to the
-    materialized length-bounded saturation instead.
+    closure is the length-`bound` saturation, queried through
+    `_BoundedRelation` without materializing it; a bound below the longest
+    seed word raises ValueError.
     """
-    cong = SuffixCongruence(seeds) if bound is None else _BoundedRelation(seeds, bound)
+    cong = _BoundedRelation(seeds, bound)
     w = cert.w
     if not cong.same(w, w + "0"):
         return "condition-1", f"{word_to_text(w)} ~ {word_to_text(w)}0 unproved"

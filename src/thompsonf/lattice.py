@@ -89,12 +89,14 @@ def companion_rectangular(a: int, b: int) -> tuple[int, int, RectangularForm]:
     # solve m*(q*ap) - n*(p*bp) = 1 with minimal non-negative n
     A, B = q * ap, p * bp
     gg, x, y = _egcd(A, -B)  # A*x + (-B)*y = 1, so (m, n) = (x, y)
-    assert gg == 1
+    if gg != 1:
+        raise AssertionError(f"gcd({A}, {B}) = {gg}, expected coprime")
     m0, n0 = x, y
     # general solution: (m, n) = (m0 + t*B, n0 + t*A); pick minimal n >= 0
     n = n0 % abs(A)
     m = m0 + ((n - n0) // A) * B
-    assert n >= 0 and m * A - n * B == 1
+    if n < 0 or m * A - n * B != 1:
+        raise AssertionError(f"bad Bezout pair (m, n) = ({m}, {n})")
     return n * p, m * q, RectangularForm(p, q)
 
 

@@ -2,7 +2,8 @@
 image (c, d), build g by tree surgery so that <f, g> contains every element
 of slope 1 at both endpoints, and emit the certificate proving it.
 
-All four constructions share one layout. A scaffold tree is completed around
+All four constructions share one layout, built by one body with a choice
+at each end. A scaffold tree is completed around
 the moved triple u -> v -> w of f; the partner's domain and range trees are
 the scaffold with small standard subtrees hung at a handful of branches, and
 the branch-pair table splits into contiguous blocks:
@@ -18,7 +19,7 @@ Rigid ends cannot prove their own one-sided branch family, so there the
 certificate's shift schema leans on a branch pair of f itself - which is
 why the boundary targets need f to have non-trivial slope at that endpoint.
 Negative c is handled by building the partner for (-c, -d) and inverting;
-c = 0 by mirroring everything through t -> 1 - t.
+c = 0 with d != 0 by mirroring everything through t -> 1 - t.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def complete_tree(required) -> Tree:
         if not words or words == [prefix]:
             out.append(prefix)
             return
-        assert prefix not in words, f"comparable input words at {prefix!r}"
+        if prefix in words:
+            raise AssertionError(f"comparable input words at {prefix!r}")
         at = len(prefix)
         descend(prefix + "0", [x for x in words if x[at] == "0"])
         descend(prefix + "1", [x for x in words if x[at] == "1"])
@@ -106,7 +108,8 @@ def complete_tree(required) -> Tree:
 def attach_all(tree, attachments: dict[Word, Tree]) -> Tree:
     """Replace each named branch by the subtree hung at it."""
     missing = set(attachments) - set(tree)
-    assert not missing, f"not branches of the tree: {sorted(missing)}"
+    if missing:
+        raise AssertionError(f"not branches of the tree: {sorted(missing)}")
     out: list[Word] = []
     for b in tree:
         sub = attachments.get(b)
@@ -133,38 +136,31 @@ def build_scaffold_tree(
     if left_chain:
         T = attach_all(T, {T[0]: minimal_tree_with_branch("0" * left_chain)})
     k, n = T.index(w + "0") + 1, len(T)
-    assert 5 <= k <= n - 5, (k, n)
+    if not 5 <= k <= n - 5:
+        raise AssertionError(f"scaffold too small around w0: {(k, n)}")
     return T
 
 
 # --- block tables -------------------------------------------------------------
 #
 # Each block lists consecutive (domain, range) rows of the partner's table.
-# Row order must match the leaf order of the surgered trees; _assemble
-# asserts that the concatenated blocks equal the zipped leaf lists.
+# Row order must match the leaf order of the surgered trees; _construct
+# checks that the concatenated blocks equal the zipped leaf lists.
 
 
-def _shift_block_left(T: Tree, w: Word, c: int) -> list[Row]:
-    # slope 2^c at 0, then transport u_2 .. u_{k-1} under [w0]
+def _left_block(T: Tree, w: Word, c: int) -> list[Row]:
+    # slope 2^c at 0 (c = 0: leftmost branch pinned), then transport
+    # u_2 .. u_{k-1} under [w0]
     u1 = T[0]
     iw0 = T.index(w + "0")
-    rows = [(u1 + "0" * (c + 1), u1 + "0")]
-    for i in range(1, c):
-        rows.append((u1 + "0" * (c + 1 - i) + "1", u1 + "1" * i + "0"))
-    rows.append((u1 + "01", u1 + "1" * c))
-    rows.append((u1 + "1", T[1]))
-    for j in range(1, iw0 - 1):
-        rows.append((T[j], T[j + 1]))
-    rows.append((T[iw0 - 1], w + "00"))
-    rows.append((w + "0", w + "01"))
-    return rows
-
-
-def _fixed_block_left(T: Tree, w: Word) -> list[Row]:
-    # slope 1 at 0: leftmost branch pinned, interior transported as in (A)
-    u1 = T[0]
-    iw0 = T.index(w + "0")
-    rows = [(u1 + "0", u1 + "0"), (u1 + "10", u1 + "1"), (u1 + "11", T[1])]
+    if c:
+        rows = [(u1 + "0" * (c + 1), u1 + "0")]
+        for i in range(1, c):
+            rows.append((u1 + "0" * (c + 1 - i) + "1", u1 + "1" * i + "0"))
+        rows.append((u1 + "01", u1 + "1" * c))
+        rows.append((u1 + "1", T[1]))
+    else:
+        rows = [(u1 + "0", u1 + "0"), (u1 + "10", u1 + "1"), (u1 + "11", T[1])]
     for j in range(1, iw0 - 1):
         rows.append((T[j], T[j + 1]))
     rows.append((T[iw0 - 1], w + "00"))
@@ -182,33 +178,25 @@ def _basic_block(w: Word) -> list[Row]:
     ]
 
 
-def _shift_block_right(T: Tree, w: Word, d: int) -> list[Row]:
-    # slope 2^-d at 1, interior transported down toward [w1]
+def _right_block(T: Tree, w: Word, d: int) -> list[Row]:
+    # interior transported down toward [w1], then slope 2^-d at 1
+    # (d = 0: rightmost branch pinned up to one caret)
     iw0 = T.index(w + "0")
     n = len(T)
     un = T[-1]
     rows = [(w + "11", w + "110"), (T[iw0 + 3], w + "111")]
     for j in range(iw0 + 4, n - 1):
         rows.append((T[j], T[j - 1]))
+    if not d:
+        rows.append((un + "00", T[n - 2]))
+        rows.append((un + "01", un + "0"))
+        rows.append((un + "1", un + "1"))
+        return rows
     rows.append((un + "0", T[n - 2]))
     rows.append((un + "10", un + "0" * d))
     for i in range(2, d + 1):
         rows.append((un + "1" * i + "0", un + "0" * (d + 1 - i) + "1"))
     rows.append((un + "1" * (d + 1), un + "1"))
-    return rows
-
-
-def _fixed_block_right(T: Tree, w: Word) -> list[Row]:
-    # slope 1 at 1: rightmost branch pinned up to one caret
-    iw0 = T.index(w + "0")
-    n = len(T)
-    un = T[-1]
-    rows = [(w + "11", w + "110"), (T[iw0 + 3], w + "111")]
-    for j in range(iw0 + 4, n - 1):
-        rows.append((T[j], T[j - 1]))
-    rows.append((un + "00", T[n - 2]))
-    rows.append((un + "01", un + "0"))
-    rows.append((un + "1", un + "1"))
     return rows
 
 
@@ -275,67 +263,39 @@ def self_check_blocks(result: SynthesisResult) -> None:
     rows = [row for _, block in result.blocks for row in block]
     dom = [p for p, _ in rows]
     rng = [q for _, q in rows]
-    assert is_complete_prefix_code(dom), "block domains do not tile [0,1]"
-    assert is_complete_prefix_code(rng), "block ranges do not tile [0,1]"
-    rebuilt = from_codes(dom, rng)
-    assert rebuilt == eval_word(result.block_word, {"g": result.g})
-    assert abelianize(result.g) == result.target
+    if not is_complete_prefix_code(dom):
+        raise AssertionError("block domains do not tile [0,1]")
+    if not is_complete_prefix_code(rng):
+        raise AssertionError("block ranges do not tile [0,1]")
+    if from_codes(dom, rng) != eval_word(result.block_word, {"g": result.g}):
+        raise AssertionError("block tables do not rebuild the partner")
+    if abelianize(result.g) != result.target:
+        raise AssertionError("partner misses its abelianization target")
 
 
-def _assemble(
-    f: Element,
-    T: Tree,
-    w: Word,
-    plus: dict[Word, Tree],
-    minus: dict[Word, Tree],
-    blocks: Blocks,
-    extra_witnesses: list[Witness],
-    left_schema: ShiftSchema,
-    right_schema: ShiftSchema,
-    part: int,
+def _finish(
+    cert: Certificate,
     target: AbelianImage,
+    part: int,
+    blocks: Blocks,
+    block_word: GroupWord,
+    what: str,
 ) -> SynthesisResult:
-    rp = attach_all(T, plus)
-    rm = attach_all(T, minus)
-    assert len(rp) == len(rm), "caret imbalance between domain and range"
-    flat = [row for _, rows in blocks for row in rows]
-    assert list(zip(rp, rm)) == flat, "block tables disagree with the surgery"
-    g = from_codes(rp, rm)
-    gword: GroupWord = (("g", 1),)
-    witnesses = list(extra_witnesses)
-    witnesses.extend(Witness(gword, p, q) for p, q in flat)
-    cert = Certificate(
-        f=f,
-        g=g,
-        tree=T,
-        w=w,
-        witnesses=tuple(witnesses),
-        left_schema=left_schema,
-        right_schema=right_schema,
-        slope=SlopeWitness(gword, w + "101"),
-        depth=1,
-    )
-    # Depth is fixed before pruning and kept afterwards: pruning judges
-    # necessity at this bound, so shrinking the bound later could orphan a
-    # derivation that was in range when the drop was accepted.
-    cert = replace(cert, depth=_required_depth(cert))
-    fresh = certify_normal_generation(cert)
-    if not fresh.ok:
-        raise AssertionError(f"construction produced a rejected certificate: {fresh}")
-    cert = _prune_witnesses(cert)
-    assert certify_normal_generation(cert).ok
-    basis = (tuple(abelianize(f)), tuple(target))
+    """The one tail every result goes through: certify, then wrap."""
+    check = certify_normal_generation(cert)
+    if not check.ok:
+        raise AssertionError(f"{what} certificate rejected: {check}")
+    basis = (tuple(abelianize(cert.f)), tuple(target))
     result = SynthesisResult(
-        g=g,
+        g=cert.g,
         certificate=cert,
         target=target,
         part=part,
         blocks=blocks,
-        block_word=gword,
+        block_word=block_word,
         basis=basis,
         index=index_of(basis),
     )
-    assert abelianize(g) == target
     self_check_blocks(result)
     return result
 
@@ -346,10 +306,9 @@ def _invert_result(res: SynthesisResult) -> SynthesisResult:
     Tree, w and schemas carry over; every witness word just swaps g for
     g^-1, since the new g's inverse has exactly the old g's table."""
     cert = res.certificate
-    g = invert(res.g)
     new_cert = replace(
         cert,
-        g=g,
+        g=invert(res.g),
         witnesses=tuple(_invert_g_witness(x) for x in cert.witnesses),
         left_schema=replace(
             cert.left_schema, witness=_invert_g_witness(cert.left_schema.witness)
@@ -359,23 +318,10 @@ def _invert_result(res: SynthesisResult) -> SynthesisResult:
         ),
         slope=SlopeWitness(_invert_g_word(cert.slope.word), cert.slope.alpha),
     )
-    check = certify_normal_generation(new_cert)
-    if not check.ok:
-        raise AssertionError(f"inverted certificate rejected: {check}")
     target = AbelianImage(-res.target.at_zero, -res.target.at_one)
-    basis = (res.basis[0], tuple(target))
-    result = SynthesisResult(
-        g=g,
-        certificate=new_cert,
-        target=target,
-        part=res.part,
-        blocks=res.blocks,
-        block_word=_invert_g_word(res.block_word),
-        basis=basis,
-        index=index_of(basis),
+    return _finish(
+        new_cert, target, res.part, res.blocks, _invert_g_word(res.block_word), "inverted"
     )
-    self_check_blocks(result)
-    return result
 
 
 def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
@@ -387,9 +333,7 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
     branch length): the rigid right end of the original partner mirrors to
     rows fixing [0^{R+1}] pointwise and mapping [0^R 10] onto [0^R 1]."""
     cert = res.certificate
-    g = flip(res.g)
     tree = tuple(_flip_word(b) for b in reversed(cert.tree))
-    w = _flip_word(cert.w)
     left = ShiftSchema(
         "0",
         tree[0],
@@ -407,9 +351,9 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
     gamma = "0" * len(cert.tree[-1]) + "1"
     new_cert = Certificate(
         f=f,
-        g=g,
+        g=flip(res.g),
         tree=tree,
-        w=w,
+        w=_flip_word(cert.w),
         witnesses=tuple(_flip_witness(x) for x in cert.witnesses),
         left_schema=left,
         right_schema=right,
@@ -417,103 +361,127 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
         depth=cert.depth,
     )
     new_cert = replace(new_cert, depth=_required_depth(new_cert))
-    check = certify_normal_generation(new_cert)
-    if not check.ok:
-        raise AssertionError(f"mirrored certificate rejected: {check}")
     target = AbelianImage(res.target.at_one, res.target.at_zero)
     blocks = tuple(
         (name, tuple((_flip_word(p), _flip_word(q)) for p, q in reversed(rows)))
         for name, rows in reversed(res.blocks)
     )
-    basis = (tuple(abelianize(f)), tuple(target))
-    result = SynthesisResult(
-        g=g,
-        certificate=new_cert,
-        target=target,
-        part=3,
-        blocks=blocks,
-        block_word=res.block_word,
-        basis=basis,
-        index=index_of(basis),
+    return _finish(new_cert, target, 3, blocks, res.block_word, "mirrored")
+
+
+# --- the constructions --------------------------------------------------------
+
+
+def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
+    """The one tree-surgery layout, with a choice made at each end.
+
+    An end whose coordinate is non-zero shifts along g: slope 2^c at 0,
+    2^-d at 1, where d < 0 is the same surgery with domain and range
+    swapped right of [w1], its shift witness carried by g^-1. An end whose
+    coordinate is 0 is rigid: the scaffold grows a chain there and the
+    schema shifts along f's own tail pair instead. Negative c is built for
+    (-c, -d) and inverted."""
+    if c < 0:
+        return _invert_result(_construct(f, -c, -d, part))
+    if not d:
+        tail_sign, m, ell = one_tail_pair(f)
+    if not c:
+        a = abelianize(f).at_zero
+        if a == 0:
+            raise PreconditionViolated("slope at 0+ is trivial")
+        n0, m0 = zero_tail_pair(f if a > 0 else invert(f), "")
+    triple = find_uvw(f)
+    w = triple.w
+    T = build_scaffold_tree(
+        triple.u, triple.v, w,
+        right_chain=0 if d else m,
+        left_chain=0 if c else n0,
     )
-    self_check_blocks(result)
-    return result
+    u1, un = T[0], T[-1]
+    gword: GroupWord = (("g", 1),)
+    plus = {w + "10": X1_DOMAIN}
+    minus = {w + "0": CARET, w + "10": X1_RANGE}
 
+    if c:
+        plus[u1] = minimal_tree_with_branch("0" * (c + 1))
+        minus[u1] = minimal_tree_with_branch("1" * c)
+        left = ShiftSchema(
+            "0", u1, "1", Witness(gword, u1 + "0" * (c + 1), u1 + "0"), c + 1
+        )
+    else:
+        plus[u1] = minimal_tree_with_branch("11")
+        minus[u1] = CARET
+        left = ShiftSchema(
+            "0", u1, "1",
+            Witness((("f", 1 if a > 0 else -1),), "0" * n0, "0" * m0),
+            n0 - m0,
+        )
 
-# --- the four constructions ---------------------------------------------------
+    dd = abs(d)
+    if d:
+        right_plus = {un: minimal_tree_with_branch("1" * (dd + 1))}
+        right_minus = {w + "11": CARET, un: minimal_tree_with_branch("0" * dd)}
+        right = ShiftSchema(
+            "1", un, "0",
+            Witness((("g", 1 if d > 0 else -1),), un + "1" * (dd + 1), un + "1"),
+            dd + 1,
+        )
+    else:
+        right_plus = {un: minimal_tree_with_branch("00")}
+        right_minus = {w + "11": CARET, un: CARET}
+        right = ShiftSchema(
+            "1", un, "0", Witness((("f", tail_sign),), "1" * m, "1" * (m - ell)), ell
+        )
+    c_rows = _right_block(T, w, dd)
+    if d < 0:
+        c_rows = [(q, p) for p, q in c_rows]
+        right_plus, right_minus = right_minus, right_plus
+    plus.update(right_plus)
+    minus.update(right_minus)
+    blocks: Blocks = (
+        ("A" if c else "A''", tuple(_left_block(T, w, c))),
+        ("B", tuple(_basic_block(w))),
+        ("C" if d else "C'", tuple(c_rows)),
+    )
+
+    rp = attach_all(T, plus)
+    rm = attach_all(T, minus)
+    if len(rp) != len(rm):
+        raise AssertionError("caret imbalance between domain and range")
+    flat = [row for _, rows in blocks for row in rows]
+    if list(zip(rp, rm)) != flat:
+        raise AssertionError("block tables disagree with the surgery")
+    fword: GroupWord = (("f", triple.sign),)
+    witnesses = [Witness(fword, triple.u, triple.v), Witness(fword, triple.v, triple.w)]
+    witnesses.extend(Witness(gword, p, q) for p, q in flat)
+    cert = Certificate(
+        f=f,
+        g=from_codes(rp, rm),
+        tree=T,
+        w=w,
+        witnesses=tuple(witnesses),
+        left_schema=left,
+        right_schema=right,
+        slope=SlopeWitness(gword, w + "101"),
+        depth=1,
+    )
+    # Depth is fixed before pruning and kept afterwards: pruning judges
+    # necessity at this bound, so shrinking the bound later could orphan a
+    # derivation that was in range when the drop was accepted.
+    cert = replace(cert, depth=_required_depth(cert))
+    fresh = certify_normal_generation(cert)
+    if not fresh.ok:
+        raise AssertionError(f"construction produced a rejected certificate: {fresh}")
+    return _finish(
+        _prune_witnesses(cert), AbelianImage(c, d), part, blocks, gword, "pruned"
+    )
 
 
 def construct_part1(f: Element, c: int, d: int) -> SynthesisResult:
     """Partner with image (c, d), both non-zero; works for every f != 1."""
     if c == 0 or d == 0:
         raise PreconditionViolated("interior construction needs c != 0 and d != 0")
-    if c < 0:
-        return _invert_result(construct_part1(f, -c, -d))
-    triple = find_uvw(f)
-    w = triple.w
-    T = build_scaffold_tree(triple.u, triple.v, w)
-    u1, un = T[0], T[-1]
-    fword: GroupWord = (("f", triple.sign),)
-    gword: GroupWord = (("g", 1),)
-    a_rows = _shift_block_left(T, w, c)
-    b_rows = _basic_block(w)
-    if d > 0:
-        c_rows = _shift_block_right(T, w, d)
-        plus = {
-            u1: minimal_tree_with_branch("0" * (c + 1)),
-            w + "10": X1_DOMAIN,
-            un: minimal_tree_with_branch("1" * (d + 1)),
-        }
-        minus = {
-            u1: minimal_tree_with_branch("1" * c),
-            w + "0": CARET,
-            w + "10": X1_RANGE,
-            w + "11": CARET,
-            un: minimal_tree_with_branch("0" * d),
-        }
-        right = ShiftSchema(
-            "1", un, "0", Witness(gword, un + "1" * (d + 1), un + "1"), d + 1
-        )
-    else:
-        dd = -d
-        # same surgery with the roles of domain and range swapped right of
-        # [w1]; the shift witness is then carried by g^-1
-        c_rows = [(q, p) for p, q in _shift_block_right(T, w, dd)]
-        plus = {
-            u1: minimal_tree_with_branch("0" * (c + 1)),
-            w + "10": X1_DOMAIN,
-            w + "11": CARET,
-            un: minimal_tree_with_branch("0" * dd),
-        }
-        minus = {
-            u1: minimal_tree_with_branch("1" * c),
-            w + "0": CARET,
-            w + "10": X1_RANGE,
-            un: minimal_tree_with_branch("1" * (dd + 1)),
-        }
-        right = ShiftSchema(
-            "1",
-            un,
-            "0",
-            Witness(_invert_g_word(gword), un + "1" * (dd + 1), un + "1"),
-            dd + 1,
-        )
-    left = ShiftSchema(
-        "0", u1, "1", Witness(gword, u1 + "0" * (c + 1), u1 + "0"), c + 1
-    )
-    witnesses = [
-        Witness(fword, triple.u, triple.v),
-        Witness(fword, triple.v, triple.w),
-    ]
-    blocks: Blocks = (
-        ("A", tuple(a_rows)),
-        ("B", tuple(b_rows)),
-        ("C", tuple(c_rows)),
-    )
-    return _assemble(
-        f, T, w, plus, minus, blocks, witnesses, left, right,
-        part=1, target=AbelianImage(c, d),
-    )
+    return _construct(f, c, d, part=1)
 
 
 def construct_part2(f: Element, c: int) -> SynthesisResult:
@@ -524,48 +492,7 @@ def construct_part2(f: Element, c: int) -> SynthesisResult:
     the schema shifts along f's own tail pair 1^m -> 1^{m-l}."""
     if c == 0:
         raise PreconditionViolated("boundary construction needs c != 0")
-    if c < 0:
-        return _invert_result(construct_part2(f, -c))
-    tail_sign, m, ell = one_tail_pair(f)
-    triple = find_uvw(f)
-    w = triple.w
-    T = build_scaffold_tree(triple.u, triple.v, w, right_chain=m)
-    u1, un = T[0], T[-1]
-    fword: GroupWord = (("f", triple.sign),)
-    gword: GroupWord = (("g", 1),)
-    blocks: Blocks = (
-        ("A", tuple(_shift_block_left(T, w, c))),
-        ("B", tuple(_basic_block(w))),
-        ("C'", tuple(_fixed_block_right(T, w))),
-    )
-    plus = {
-        u1: minimal_tree_with_branch("0" * (c + 1)),
-        w + "10": X1_DOMAIN,
-        un: minimal_tree_with_branch("00"),
-    }
-    minus = {
-        u1: minimal_tree_with_branch("1" * c),
-        w + "0": CARET,
-        w + "10": X1_RANGE,
-        w + "11": CARET,
-        un: CARET,
-    }
-    left = ShiftSchema(
-        "0", u1, "1", Witness(gword, u1 + "0" * (c + 1), u1 + "0"), c + 1
-    )
-    right = ShiftSchema(
-        "1", un, "0",
-        Witness((("f", tail_sign),), "1" * m, "1" * (m - ell)),
-        ell,
-    )
-    witnesses = [
-        Witness(fword, triple.u, triple.v),
-        Witness(fword, triple.v, triple.w),
-    ]
-    return _assemble(
-        f, T, w, plus, minus, blocks, witnesses, left, right,
-        part=2, target=AbelianImage(c, 0),
-    )
+    return _construct(f, c, 0, part=2)
 
 
 def construct_part3(f: Element, d: int) -> SynthesisResult:
@@ -581,52 +508,7 @@ def construct_part4(f: Element) -> SynthesisResult:
     """Partner inside the derived subgroup: image (0, 0); needs f of
     non-trivial slope at both endpoints. Both ends are rigid and both
     schemas shift along branch pairs of f."""
-    tail_sign, m, ell = one_tail_pair(f)
-    a = abelianize(f).at_zero
-    if a == 0:
-        raise PreconditionViolated("slope at 0+ is trivial")
-    head_sign = 1 if a > 0 else -1
-    n0, m0 = zero_tail_pair(f if a > 0 else invert(f), "")
-    triple = find_uvw(f)
-    w = triple.w
-    T = build_scaffold_tree(triple.u, triple.v, w, right_chain=m, left_chain=n0)
-    u1, un = T[0], T[-1]
-    fword: GroupWord = (("f", triple.sign),)
-    blocks: Blocks = (
-        ("A''", tuple(_fixed_block_left(T, w))),
-        ("B", tuple(_basic_block(w))),
-        ("C'", tuple(_fixed_block_right(T, w))),
-    )
-    plus = {
-        u1: minimal_tree_with_branch("11"),
-        w + "10": X1_DOMAIN,
-        un: minimal_tree_with_branch("00"),
-    }
-    minus = {
-        u1: CARET,
-        w + "0": CARET,
-        w + "10": X1_RANGE,
-        w + "11": CARET,
-        un: CARET,
-    }
-    left = ShiftSchema(
-        "0", u1, "1",
-        Witness((("f", head_sign),), "0" * n0, "0" * m0),
-        n0 - m0,
-    )
-    right = ShiftSchema(
-        "1", un, "0",
-        Witness((("f", tail_sign),), "1" * m, "1" * (m - ell)),
-        ell,
-    )
-    witnesses = [
-        Witness(fword, triple.u, triple.v),
-        Witness(fword, triple.v, triple.w),
-    ]
-    return _assemble(
-        f, T, w, plus, minus, blocks, witnesses, left, right,
-        part=4, target=AbelianImage(0, 0),
-    )
+    return _construct(f, 0, 0, part=4)
 
 
 def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
@@ -650,7 +532,8 @@ def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
         result = construct_part3(f, d)
     else:
         result = construct_part4(f)
-    assert result.target == (c, d)
+    if result.target != (c, d):
+        raise AssertionError(f"partner hits {result.target}, not {(c, d)}")
     return result
 
 
@@ -661,7 +544,8 @@ def complete_generating_pair(f: Element) -> SynthesisResult:
     a, b = abelianize(f)
     c, d = complete_basis(a, b)
     result = synthesize(f, c, d)
-    assert result.index == 1
+    if result.index != 1:
+        raise AssertionError(f"joint image has index {result.index}, not 1")
     return result
 
 
@@ -673,5 +557,6 @@ def finite_index_pair(f: Element) -> SynthesisResult:
     a, b = abelianize(f)
     c, d, form = companion_rectangular(a, b)
     result = synthesize(f, c, d)
-    assert result.index == form.p * form.q
+    if result.index != form.p * form.q:
+        raise AssertionError(f"joint image has index {result.index}, not {form.p * form.q}")
     return result

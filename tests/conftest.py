@@ -18,18 +18,6 @@ group_words = st.lists(
 elements = group_words.map(lambda w: eval_word(w, GENS))
 
 
-def random_word_element(rng: random.Random, max_len: int = 12):
-    """Non-trivial element as a random word in the generators."""
-    while True:
-        word = tuple(
-            (rng.choice(("x0", "x1")), rng.choice((1, -1)))
-            for _ in range(rng.randrange(1, max_len + 1))
-        )
-        e = eval_word(word, GENS)
-        if not e.is_identity():
-            return word, e
-
-
 @pytest.fixture
 def rng():
     return random.Random(20240817)

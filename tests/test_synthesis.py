@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings
 
+import thompsonf
 from thompsonf import (
     AbelianImage,
     IDENTITY,
@@ -196,3 +202,32 @@ def test_witnesses_are_minimal(rng):
                 cert, witnesses=cert.witnesses[:i] + cert.witnesses[i + 1:]
             )
             assert not certify_normal_generation(trimmed).ok
+
+
+def test_output_guards_survive_optimized_mode():
+    # Under `python -O` bare asserts vanish; the re-check of the pruned
+    # certificate must still refuse a construction whose pruning went wrong.
+    script = textwrap.dedent(
+        """
+        import sys
+        from dataclasses import replace
+        from thompsonf import X0, synthesis
+
+        if sys.flags.optimize < 1:
+            sys.exit("not running under -O")
+        synthesis._prune_witnesses = lambda cert: replace(cert, witnesses=())
+        try:
+            synthesis.synthesize(X0, 1, 1)
+        except AssertionError as exc:
+            print("refused:", exc)
+            sys.exit(0)
+        sys.exit("synthesize returned a certificate it never re-checked")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(thompsonf.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pruned certificate rejected" in proc.stdout
