@@ -139,32 +139,30 @@ class SuffixCongruence:
     folding over the trie of all seed-word prefixes; `same` decides
     membership exactly for arbitrary words, including words outside the trie
     (their class is determined by the longest materialized prefix).
+
+    The trie itself is kept apart from the union-find state, so `reclose`
+    can re-close over any subset of the seeds without rebuilding it. Nodes
+    that only the dropped seeds named change no answer: folding on any
+    prefix-closed trie that holds the kept seed words decides the same
+    congruence.
     """
 
-    __slots__ = ("_parent", "_size", "_children", "_root")
+    __slots__ = ("_trie", "_pairs", "_parent", "_size", "_children")
 
     def __init__(self, seeds):
-        self._parent: list[int] = [0]
-        self._size: list[int] = [1]
-        self._children: list[dict[str, int] | None] = [{}]
-        self._root = 0
-        pending: list[tuple[int, int]] = []
-        for u, v in seeds:
-            pending.append((self._add(u), self._add(v)))
-        for i, j in pending:
-            self._union(i, j)
+        self._trie: list[dict[str, int]] = [{}]  # prefix trie, never merged
+        self._pairs = [(self._add(u), self._add(v)) for u, v in seeds]
+        self.reclose(range(len(self._pairs)))
 
     def _add(self, word: Word) -> int:
-        cur = self._root
+        trie = self._trie
+        cur = 0
         for ch in word:
-            kids = self._children[cur]
+            kids = trie[cur]
             nxt = kids.get(ch)
             if nxt is None:
-                nxt = len(self._parent)
-                self._parent.append(nxt)
-                self._size.append(1)
-                self._children.append({})
-                kids[ch] = nxt
+                nxt = kids[ch] = len(trie)
+                trie.append({})
             cur = nxt
         return cur
 
@@ -177,40 +175,59 @@ class SuffixCongruence:
             parent[i], i = root, parent[i]
         return root
 
-    def _union(self, i: int, j: int) -> None:
-        stack = [(i, j)]
+    def reclose(self, keep) -> None:
+        """Close over the seeds at the indices in `keep` alone, forgetting
+        every earlier merge."""
+        n = len(self._trie)
+        parent = self._parent = list(range(n))
+        size = self._size = [1] * n
+        children = self._children = [kids.copy() for kids in self._trie]
+        find = self._find
+        pairs = self._pairs
+        stack = [pairs[k] for k in keep]
         while stack:
             a, b = stack.pop()
-            ra, rb = self._find(a), self._find(b)
+            ra = a if parent[a] == a else find(a)
+            rb = b if parent[b] == b else find(b)
             if ra == rb:
                 continue
-            if self._size[ra] < self._size[rb]:
+            if size[ra] < size[rb]:
                 ra, rb = rb, ra
-            self._parent[rb] = ra
-            self._size[ra] += self._size[rb]
-            merged = self._children[rb]
-            self._children[rb] = None
-            keep = self._children[ra]
+            parent[rb] = ra
+            size[ra] += size[rb]
+            merged = children[rb]
+            children[rb] = None
+            into = children[ra]
             for ch, node in merged.items():
-                other = keep.get(ch)
+                other = into.get(ch)
                 if other is None:
-                    keep[ch] = node
+                    into[ch] = node
                 else:
                     stack.append((other, node))
 
-    def _walk(self, word: Word) -> tuple[int, Word]:
-        cur = self._find(self._root)
+    def walk(self, word: Word, state: tuple[int, Word] | None = None) -> tuple[int, Word]:
+        """(class, unread rest) reached by reading `word` from `state`.
+
+        The default state is the empty word's, so two words are congruent
+        iff their walks agree. Reading `x` from the walk of `p` gives the
+        walk of `p + x`: once a walk leaves the materialized classes, the
+        rest of the word just accumulates."""
+        if state is None:
+            cur, rest = self._find(0), ""
+        else:
+            cur, rest = state
+        if rest:
+            return cur, rest + word
+        children, find = self._children, self._find
         for i, ch in enumerate(word):
-            nxt = self._children[cur].get(ch)
+            nxt = children[cur].get(ch)
             if nxt is None:
                 return cur, word[i:]
-            cur = self._find(nxt)
+            cur = find(nxt)
         return cur, ""
 
     def same(self, u: Word, v: Word) -> bool:
-        cu, ru = self._walk(u)
-        cv, rv = self._walk(v)
-        return cu == cv and ru == rv
+        return self.walk(u) == self.walk(v)
 
 
 def saturate(seeds, L: int) -> frozenset[Relation]:
@@ -285,7 +302,7 @@ def closure_seeds(cert: Certificate) -> list[Relation]:
 
 
 def _schema_error(
-    cert: Certificate, schema: ShiftSchema, cong: SuffixCongruence, side: str
+    cert: Certificate, schema: ShiftSchema, closure: BoundedRelation, side: str
 ) -> str | None:
     t = schema.tail
     expected_stem = cert.tree[0] if side == "left" else cert.tree[-1]
@@ -310,10 +327,10 @@ def _schema_error(
     need = max(a - b, a - j)
     if schema.base_count < need:
         return f"base_count {schema.base_count} < required {need}"
-    for i in range(schema.base_count):
+    i = closure.first_unrelated(schema.stem, t, schema.suffix, schema.base_count, cert.w)
+    if i is not None:
         member = schema.stem + t * i + schema.suffix
-        if not cong.same(member, cert.w):
-            return f"base relation {word_to_text(member)} ~ {word_to_text(cert.w)} unproved"
+        return f"base relation {word_to_text(member)} ~ {word_to_text(cert.w)} unproved"
     return None
 
 
@@ -353,7 +370,7 @@ def _structural_error(cert: Certificate) -> str | None:
     return None
 
 
-class _BoundedRelation:
+class BoundedRelation:
     """Membership test for the length-bounded saturation, without building it.
 
     The bounded closure stabilizes once the bound reaches the longest seed
@@ -363,8 +380,9 @@ class _BoundedRelation:
     max(longest seed, |u|, |v|). For bounds at or above the longest seed,
     membership in saturate(seeds, L) is therefore the congruence relation
     restricted to words of length <= L. Bounds below the longest seed are
-    rejected, matching saturate. Cross-checked against the materialized
-    saturation in the test suite."""
+    rejected with ValueError, matching saturate; every subset `reclose`
+    keeps then satisfies the bound too. Cross-checked against the
+    materialized saturation in the test suite."""
 
     __slots__ = ("_cong", "_bound")
 
@@ -378,35 +396,67 @@ class _BoundedRelation:
         self._cong = SuffixCongruence(seeds)
         self._bound = bound
 
+    def _find(self, i: int) -> int:
+        parent = self._parent
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    def reclose(self, keep) -> None:
+        """Restrict to the seeds at the indices in `keep`; see SuffixCongruence."""
+        self._cong.reclose(keep)
+
     def same(self, u: Word, v: Word) -> bool:
         if len(u) > self._bound or len(v) > self._bound:
             return False
         return self._cong.same(u, v)
 
+    def first_unrelated(
+        self, stem: Word, t: str, suffix: Word, count: int, w: Word
+    ) -> int | None:
+        """Least i < count with not same(stem + t*i + suffix, w), else None.
 
-def conditions_error(cert: Certificate, seeds, bound: int) -> tuple[str, str] | None:
-    """Check tree conditions (1)-(4) against the closure of the given seeds.
+        One walk reads stem + t^i one t at a time, so each member costs a
+        step through its suffix instead of a walk from the root."""
+        if count <= 0:
+            return None
+        if len(w) > self._bound:
+            return 0
+        cong = self._cong
+        target = cong.walk(w)
+        room = self._bound - len(stem) - len(suffix)  # members past i = room are too long
+        state = cong.walk(stem)
+        for i in range(count):
+            if i > room or cong.walk(suffix, state) != target:
+                return i
+            state = cong.walk(t, state)
+        return None
+
+
+def conditions_error(cert: Certificate, closure: BoundedRelation) -> tuple[str, str] | None:
+    """Check tree conditions (1)-(4) against a closure of relation seeds.
 
     Returns (code, detail) for the first violated condition, None if all
     hold. Witness verification and the slope check live elsewhere; this is
-    the piece that depends on which relation seeds are available. The
-    closure is the length-`bound` saturation, queried through
-    `_BoundedRelation` without materializing it; a bound below the longest
-    seed word raises ValueError.
+    the piece that depends on which relation seeds are available, so the
+    caller builds the closure (the checker from every seed of the
+    certificate, the pruner once and then re-closed per trial).
     """
-    cong = _BoundedRelation(seeds, bound)
     w = cert.w
-    if not cong.same(w, w + "0"):
+    if not closure.same(w, w + "0"):
         return "condition-1", f"{word_to_text(w)} ~ {word_to_text(w)}0 unproved"
-    if not cong.same(w, w + "1"):
+    if not closure.same(w, w + "1"):
         return "condition-1", f"{word_to_text(w)} ~ {word_to_text(w)}1 unproved"
     for u in cert.tree[1:-1]:
-        if not cong.same(u, w):
+        if not closure.same(u, w):
             return "condition-2", f"{word_to_text(u)} ~ {word_to_text(w)} unproved"
-    err = _schema_error(cert, cert.left_schema, cong, "left")
+    err = _schema_error(cert, cert.left_schema, closure, "left")
     if err:
         return "condition-3", err
-    err = _schema_error(cert, cert.right_schema, cong, "right")
+    err = _schema_error(cert, cert.right_schema, closure, "right")
     if err:
         return "condition-4", err
     return None
@@ -440,9 +490,10 @@ def certify_normal_generation(
             )
     effective = cert.depth if bound is None else bound
     try:
-        violated = conditions_error(cert, closure_seeds(cert), effective)
+        closure = BoundedRelation(closure_seeds(cert), effective)
     except ValueError as exc:
         return _fail("invalid-certificate", str(exc))
+    violated = conditions_error(cert, closure)
     if violated:
         code, detail = violated
         return _fail(code, f"{detail} at closure bound {effective}")

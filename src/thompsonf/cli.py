@@ -2,7 +2,9 @@
 
 Element arguments accept the builtin names x0, x1, id, a path to a branch
 table file, or an inline group word such as "x0 x1^-1 x0^2". Exit status is
-0 on success, 1 when a certificate check fails, 2 on usage or input errors.
+0 on success, 1 when a certificate check fails, 2 on usage or input errors,
+3 on an internal error (a broken invariant of the package, reported on
+stderr as "internal error: ..." without a traceback).
 """
 
 from __future__ import annotations
@@ -448,6 +450,9 @@ def run(argv) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # an internal invariant broke, not the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .certify import (
+    BoundedRelation,
     Certificate,
     ShiftSchema,
     SlopeWitness,
@@ -241,21 +242,25 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     closure the checker uses. That closure grows with its seed set, so once
     dropping a witness breaks a condition it stays broken for every later
     (smaller) seed set; a single left-to-right pass therefore leaves every
-    survivor necessary."""
+    survivor necessary. The seed trie is built once; each trial only
+    re-closes it over the trial's seeds."""
     schema_pairs = [
         cert.left_schema.witness.pair,
         cert.right_schema.witness.pair,
     ]
-    kept = list(cert.witnesses)
+    closure = BoundedRelation([x.pair for x in cert.witnesses] + schema_pairs, cert.depth)
+    n = len(cert.witnesses)
+    schema_seeds = [n, n + 1]
+    kept = list(range(n))
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1:]
-        seeds = [x.pair for x in trial] + schema_pairs
-        if conditions_error(cert, seeds, cert.depth) is None:
+        closure.reclose(trial + schema_seeds)
+        if conditions_error(cert, closure) is None:
             kept = trial
         else:
             i += 1
-    return replace(cert, witnesses=tuple(kept))
+    return replace(cert, witnesses=tuple(cert.witnesses[k] for k in kept))
 
 
 def self_check_blocks(result: SynthesisResult) -> None:

@@ -1,10 +1,11 @@
 import io
 import json
 import contextlib
+from dataclasses import replace
 
 import pytest
 
-from thompsonf import X0, X1, compose, invert, parse_element
+from thompsonf import X0, X1, compose, invert, parse_element, synthesis
 from thompsonf.cli import corpus_entries, resolve_element, run
 
 
@@ -186,6 +187,16 @@ def test_usage_errors_exit_2():
     assert go(["eval", "x0", "1/3"])[0] == 2
     assert go(["synthesize", "x1", "--target", "0,2"])[0] == 2
     assert go([])[0] == 2
+
+
+def test_internal_errors_exit_3(monkeypatch):
+    # a pruner that drops every witness makes synthesis refuse its own output
+    monkeypatch.setattr(synthesis, "_prune_witnesses", lambda cert: replace(cert, witnesses=()))
+    rc, out, err = go(["synthesize", "x0", "--target", "1,1"])
+    assert rc == 3
+    assert err.startswith("internal error: pruned certificate rejected")
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_error_messages_on_stderr():

@@ -53,6 +53,9 @@ X0_CASES = {
     ("x0^-1", 0, 3): "a7965713430a8157c75e63a00d99a257a4228e527c48b91fe0d0e56fd603a184",
     ("x0^-1", 0, -3): "186d32577ff0ef15e3c260f642158e8dd1aaaefc6ef0dc13c01b2c16f59ba969",
     ("x0^-1", 0, 0): "c8a915ec7f1db38bc523db812c569eaa72d5be96357d4f047db3779df819e8cd",
+    # large ladder steps, where the pruner makes most of its trials
+    ("x0", 48, 48): "04ad039cdf71ee6b544f706ee3f59155a0a610981bcf89680d9ede8c34f8c2be",
+    ("x0", -48, 48): "070ec66238c26276cb5e7ef8fd79f55ad5d4250ad6f6ab47dc6e679426339b4a",
 }
 
 

@@ -1,0 +1,209 @@
+"""Differential tests of the closure reuse against rebuild-from-scratch references.
+
+The greedy pruner builds one seed trie per certificate and re-closes it for
+each trial; the reference below is the earlier pruner, which builds a fresh
+closure from the trial's seeds every time. The schema check walks each base
+family once, stepping one tail letter at a time; its reference walks every
+member from the root through `same`. Both pairs must agree exactly: the same
+kept witnesses, the same verdict and the same detail text. The references
+rebuild or rewalk on every step, so the properties run without a
+per-example deadline.
+"""
+
+import random
+from contextlib import contextmanager
+from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from thompsonf import X0, invert, synthesis, synthesize
+from thompsonf.certify import (
+    BoundedRelation,
+    Certificate,
+    ShiftSchema,
+    Witness,
+    _schema_error,
+    conditions_error,
+)
+from thompsonf.cli import corpus_entries, random_nontrivial
+from thompsonf.dynamics import PreconditionViolated
+from thompsonf.words import word_to_text
+
+# --- reference implementations -------------------------------------------------
+
+
+def reference_prune(cert: Certificate) -> Certificate:
+    """Greedy pruning with a closure built from scratch for every trial."""
+    schema_pairs = [
+        cert.left_schema.witness.pair,
+        cert.right_schema.witness.pair,
+    ]
+    kept = list(cert.witnesses)
+    i = 0
+    while i < len(kept):
+        trial = kept[:i] + kept[i + 1:]
+        seeds = [x.pair for x in trial] + schema_pairs
+        if conditions_error(cert, BoundedRelation(seeds, cert.depth)) is None:
+            kept = trial
+        else:
+            i += 1
+    return replace(cert, witnesses=tuple(kept))
+
+
+def reference_schema_error(cert, schema: ShiftSchema, closure, side: str):
+    """The schema check with one `same` query per base member."""
+    t = schema.tail
+    expected_stem = cert.tree[0] if side == "left" else cert.tree[-1]
+    expected_tail = "0" if side == "left" else "1"
+    expected_suffix = "1" if side == "left" else "0"
+    if (schema.stem, t, schema.suffix) != (expected_stem, expected_tail, expected_suffix):
+        return (
+            f"{side} schema must cover {word_to_text(expected_stem)}"
+            f"{expected_tail}^i{expected_suffix}"
+        )
+    x, y = schema.witness.lhs, schema.witness.rhs
+    base = x.rstrip(t)
+    a = len(x) - len(base)
+    if not (y.startswith(base) and set(y[len(base):]) <= {t}):
+        return f"shift pair {word_to_text(x)} -> {word_to_text(y)} has mismatched bases"
+    b = len(y) - len(base)
+    if a <= b:
+        return f"shift pair does not strictly shorten the tail ({a} -> {b})"
+    if not (schema.stem.startswith(base) and set(schema.stem[len(base):]) <= {t}):
+        return "stem is not a tail extension of the shift pair's base"
+    j = len(schema.stem) - len(base)
+    need = max(a - b, a - j)
+    if schema.base_count < need:
+        return f"base_count {schema.base_count} < required {need}"
+    for i in range(schema.base_count):
+        member = schema.stem + t * i + schema.suffix
+        if not closure.same(member, cert.w):
+            return f"base relation {word_to_text(member)} ~ {word_to_text(cert.w)} unproved"
+    return None
+
+
+# --- the pruner ----------------------------------------------------------------
+
+
+@contextmanager
+def pruner_checked_against_reference():
+    """Run synthesis with a pruner that also runs the reference on the same
+    unpruned certificate and requires the same kept witnesses."""
+    real = synthesis._prune_witnesses
+    calls = []
+
+    def checked(cert):
+        got = real(cert)
+        assert got.witnesses == reference_prune(cert).witnesses
+        calls.append(len(cert.witnesses))
+        return got
+
+    with mock.patch.object(synthesis, "_prune_witnesses", checked):
+        yield calls
+
+
+@pytest.mark.parametrize("seed", [0, 9, 10])
+def test_pruner_matches_reference_on_corpus(seed):
+    with pruner_checked_against_reference() as calls:
+        entries = corpus_entries(seed, 50)
+    assert len(entries) == 50 and len(calls) >= 50
+
+
+@pytest.mark.parametrize("k", [1, 6, 12, 24])
+@pytest.mark.parametrize("name", ["x0", "x0^-1"])
+def test_pruner_matches_reference_on_x0_ladder(name, k):
+    f = X0 if name == "x0" else invert(X0)
+    for c in (k, -k):
+        with pruner_checked_against_reference() as calls:
+            synthesize(f, c, k)
+        assert calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    c=st.integers(min_value=-4, max_value=4),
+    d=st.integers(min_value=-4, max_value=4),
+)
+def test_pruner_matches_reference_on_random_inputs(seed, c, d):
+    _, f = random_nontrivial(random.Random(seed))
+    with pruner_checked_against_reference() as calls:
+        try:
+            synthesize(f, c, d)
+        except PreconditionViolated:
+            return
+    assert calls
+
+
+# --- re-closing over a subset --------------------------------------------------
+
+short_words = st.text(alphabet="01", min_size=0, max_size=5)
+seed_lists = st.lists(st.tuples(short_words, short_words), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds=seed_lists, data=st.data())
+def test_reclose_matches_a_fresh_closure(seeds, data):
+    keep = data.draw(st.lists(st.integers(0, len(seeds) - 1), unique=True))
+    queries = data.draw(st.lists(st.tuples(short_words, short_words), max_size=20))
+    bound = max(len(x) for pair in seeds for x in pair) + 2
+    reused = BoundedRelation(seeds, bound)
+    reused.reclose(range(len(seeds)))
+    reused.reclose(keep)
+    fresh = BoundedRelation([seeds[k] for k in keep], bound)
+    for u, v in queries + [seeds[k] for k in range(len(seeds))]:
+        assert reused.same(u, v) == fresh.same(u, v), (u, v)
+
+
+# --- the schema family walk ----------------------------------------------------
+
+
+@st.composite
+def schema_cases(draw):
+    side = draw(st.sampled_from(("left", "right")))
+    t, suffix = ("0", "1") if side == "left" else ("1", "0")
+    stem_len = draw(st.integers(1, 4))
+    stem = t * stem_len
+    base = t * draw(st.integers(0, stem_len))
+    b = draw(st.integers(0, 3))
+    a = draw(st.integers(b + 1, b + 4))
+    shift = Witness((("g", 1),), base + t * a, base + t * b)
+    need = max(a - b, a - (stem_len - len(base)))
+    base_count = draw(st.integers(max(need - 1, 0), need + 6))
+    schema = ShiftSchema(t, stem, suffix, shift, base_count)
+    w = draw(st.text(alphabet="01", min_size=2, max_size=6).filter(lambda u: "0" in u and "1" in u))
+    # seeds that relate some members to w, plus noise
+    members = [stem + t * i + suffix for i in range(base_count + 2)]
+    related = draw(st.lists(st.sampled_from(members), max_size=4))
+    noise = draw(st.lists(st.tuples(short_words, short_words), max_size=4))
+    seeds = [shift.pair] + [(m, w) for m in related] + noise
+    longest = max(len(x) for pair in seeds for x in pair)
+    # bounds from the longest seed upward, so some cut a family part-way
+    bound = longest + draw(st.integers(0, 8))
+    tree = (stem, "1" * stem_len) if side == "left" else ("0" * stem_len, stem)
+    return side, schema, SimpleNamespace(tree=tree, w=w), seeds, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=schema_cases())
+def test_family_walk_matches_member_queries(case):
+    side, schema, cert, seeds, bound = case
+    closure = BoundedRelation(seeds, bound)
+    want = reference_schema_error(cert, schema, closure, side)
+    assert _schema_error(cert, schema, closure, side) == want
+
+
+def test_family_walk_reports_the_first_member_past_the_bound():
+    # every member is related to w, but the bound cuts the family at i = 3
+    w = "01"
+    stem, members = "0", ["0" + "0" * i + "1" for i in range(5)]
+    seeds = [("000", "0")] + [(m, w) for m in members[:2]]
+    closure = BoundedRelation(seeds, 4)
+    schema = ShiftSchema("0", stem, "1", Witness((("g", 1),), "000", "0"), 5)
+    cert = SimpleNamespace(tree=(stem, "1"), w=w)
+    got = _schema_error(cert, schema, closure, "left")
+    assert got == reference_schema_error(cert, schema, closure, "left")
+    assert got == "base relation 00001 ~ 01 unproved"
