@@ -396,15 +396,6 @@ class BoundedRelation:
         self._cong = SuffixCongruence(seeds)
         self._bound = bound
 
-    def _find(self, i: int) -> int:
-        parent = self._parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
     def reclose(self, keep) -> None:
         """Restrict to the seeds at the indices in `keep`; see SuffixCongruence."""
         self._cong.reclose(keep)
@@ -610,10 +601,17 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
 
 
+def _list_from_obj(value, field: str) -> list:
+    # a string would otherwise be read one character per item
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be an array, got {value!r}")
+    return value
+
+
 def _element_from_obj(obj, where: str) -> Element:
     try:
-        domain = [word_from_text(t) for t in obj["domain"]]
-        rng = [word_from_text(t) for t in obj["range"]]
+        domain = [word_from_text(t) for t in _list_from_obj(obj["domain"], "domain")]
+        rng = [word_from_text(t) for t in _list_from_obj(obj["range"], "range")]
         return from_codes(domain, rng)
     except (KeyError, TypeError) as exc:
         raise CertificateFormatError("invalid-certificate", f"{where}: {exc}") from exc
@@ -673,33 +671,29 @@ def certificate_from_dict(obj) -> Certificate:
             "invalid-certificate", f"expected format tag {FORMAT_TAG!r}"
         )
     try:
-        tree = tuple(word_from_text(t) for t in obj["tree"])
-        w = word_from_text(obj["w"])
-        witnesses = tuple(
-            _witness_from_obj(o, f"witnesses[{i}]")
-            for i, o in enumerate(obj["witnesses"])
+        # keyword order is decoding order: it fixes which fault a
+        # certificate with several is reported for
+        return Certificate(
+            tree=tuple(word_from_text(t) for t in _list_from_obj(obj["tree"], "tree")),
+            w=word_from_text(obj["w"]),
+            witnesses=tuple(
+                _witness_from_obj(o, f"witnesses[{i}]")
+                for i, o in enumerate(_list_from_obj(obj["witnesses"], "witnesses"))
+            ),
+            slope=SlopeWitness(
+                word=_group_word_from_obj(obj["slope"]["word"]),
+                alpha=word_from_text(obj["slope"]["alpha"]),
+            ),
+            depth=_int_from_obj(obj["depth"], "depth"),
+            f=_element_from_obj(obj["f"], "f"),
+            g=_element_from_obj(obj["g"], "g"),
+            left_schema=_schema_from_obj(obj["left_schema"], "left_schema"),
+            right_schema=_schema_from_obj(obj["right_schema"], "right_schema"),
         )
-        slope_obj = obj["slope"]
-        slope = SlopeWitness(
-            word=_group_word_from_obj(slope_obj["word"]),
-            alpha=word_from_text(slope_obj["alpha"]),
-        )
-        depth = _int_from_obj(obj["depth"], "depth")
     except CertificateFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError("invalid-certificate", str(exc)) from exc
-    return Certificate(
-        f=_element_from_obj(obj["f"], "f"),
-        g=_element_from_obj(obj["g"], "g"),
-        tree=tree,
-        w=w,
-        witnesses=witnesses,
-        left_schema=_schema_from_obj(obj["left_schema"], "left_schema"),
-        right_schema=_schema_from_obj(obj["right_schema"], "right_schema"),
-        slope=slope,
-        depth=depth,
-    )
 
 
 def certificate_from_json(text: str) -> Certificate:

@@ -3,13 +3,15 @@ image (c, d), build g by tree surgery so that <f, g> contains every element
 of slope 1 at both endpoints, and emit the certificate proving it.
 
 All four constructions share one layout, built by one body with a choice
-at each end. A scaffold tree is completed around
-the moved triple u -> v -> w of f; the partner's domain and range trees are
-the scaffold with small standard subtrees hung at a handful of branches, and
-the branch-pair table splits into contiguous blocks:
+at each end. A scaffold tree is completed around the moved triple
+u -> v -> w of f; the partner's domain and range trees are the scaffold
+with small standard subtrees hung at a handful of branches.
+The branch-pair table is the leaf-by-leaf pairing of those two surgered
+trees, and the blocks are read off it, cut after the row (w0, w01) and
+after the four rows under [w10]:
 
   (A)  a shift along the leftmost branch realizing slope 2^c at 0,
-       or (A'') a rigid version for c = 0;
+       or (A'') a rigid version for c = 0, then the interior moved right;
   (B)  a copy of the basic generator x1 inside [w10], providing the
        fixed point with one-sided slopes (1, 2);
   (C)  a shift along the rightmost branch realizing slope 2^-d at 1,
@@ -140,65 +142,6 @@ def build_scaffold_tree(
     if not 5 <= k <= n - 5:
         raise AssertionError(f"scaffold too small around w0: {(k, n)}")
     return T
-
-
-# --- block tables -------------------------------------------------------------
-#
-# Each block lists consecutive (domain, range) rows of the partner's table.
-# Row order must match the leaf order of the surgered trees; _construct
-# checks that the concatenated blocks equal the zipped leaf lists.
-
-
-def _left_block(T: Tree, w: Word, c: int) -> list[Row]:
-    # slope 2^c at 0 (c = 0: leftmost branch pinned), then transport
-    # u_2 .. u_{k-1} under [w0]
-    u1 = T[0]
-    iw0 = T.index(w + "0")
-    if c:
-        rows = [(u1 + "0" * (c + 1), u1 + "0")]
-        for i in range(1, c):
-            rows.append((u1 + "0" * (c + 1 - i) + "1", u1 + "1" * i + "0"))
-        rows.append((u1 + "01", u1 + "1" * c))
-        rows.append((u1 + "1", T[1]))
-    else:
-        rows = [(u1 + "0", u1 + "0"), (u1 + "10", u1 + "1"), (u1 + "11", T[1])]
-    for j in range(1, iw0 - 1):
-        rows.append((T[j], T[j + 1]))
-    rows.append((T[iw0 - 1], w + "00"))
-    rows.append((w + "0", w + "01"))
-    return rows
-
-
-def _basic_block(w: Word) -> list[Row]:
-    # copy of x1 inside [w10]; fixes .w101 with slopes (1, 2)
-    return [
-        (w + "100", w + "100"),
-        (w + "10100", w + "1010"),
-        (w + "10101", w + "10110"),
-        (w + "1011", w + "10111"),
-    ]
-
-
-def _right_block(T: Tree, w: Word, d: int) -> list[Row]:
-    # interior transported down toward [w1], then slope 2^-d at 1
-    # (d = 0: rightmost branch pinned up to one caret)
-    iw0 = T.index(w + "0")
-    n = len(T)
-    un = T[-1]
-    rows = [(w + "11", w + "110"), (T[iw0 + 3], w + "111")]
-    for j in range(iw0 + 4, n - 1):
-        rows.append((T[j], T[j - 1]))
-    if not d:
-        rows.append((un + "00", T[n - 2]))
-        rows.append((un + "01", un + "0"))
-        rows.append((un + "1", un + "1"))
-        return rows
-    rows.append((un + "0", T[n - 2]))
-    rows.append((un + "10", un + "0" * d))
-    for i in range(2, d + 1):
-        rows.append((un + "1" * i + "0", un + "0" * (d + 1 - i) + "1"))
-    rows.append((un + "1" * (d + 1), un + "1"))
-    return rows
 
 
 # --- certificate assembly -----------------------------------------------------
@@ -437,25 +380,24 @@ def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
         right = ShiftSchema(
             "1", un, "0", Witness((("f", tail_sign),), "1" * m, "1" * (m - ell)), ell
         )
-    c_rows = _right_block(T, w, dd)
     if d < 0:
-        c_rows = [(q, p) for p, q in c_rows]
         right_plus, right_minus = right_minus, right_plus
     plus.update(right_plus)
     minus.update(right_minus)
-    blocks: Blocks = (
-        ("A" if c else "A''", tuple(_left_block(T, w, c))),
-        ("B", tuple(_basic_block(w))),
-        ("C" if d else "C'", tuple(c_rows)),
-    )
 
     rp = attach_all(T, plus)
     rm = attach_all(T, minus)
     if len(rp) != len(rm):
         raise AssertionError("caret imbalance between domain and range")
-    flat = [row for _, rows in blocks for row in rows]
-    if list(zip(rp, rm)) != flat:
-        raise AssertionError("block tables disagree with the surgery")
+    flat = list(zip(rp, rm))
+    # A ends at the row (w0, w01); B is the x1 copy under [w10]
+    a_end = rp.index(w + "0") + 1
+    b_end = a_end + len(X1_DOMAIN)
+    blocks: Blocks = (
+        ("A" if c else "A''", tuple(flat[:a_end])),
+        ("B", tuple(flat[a_end:b_end])),
+        ("C" if d else "C'", tuple(flat[b_end:])),
+    )
     fword: GroupWord = (("f", triple.sign),)
     witnesses = [Witness(fword, triple.u, triple.v), Witness(fword, triple.v, triple.w)]
     witnesses.extend(Witness(gword, p, q) for p, q in flat)
@@ -470,9 +412,10 @@ def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
         slope=SlopeWitness(gword, w + "101"),
         depth=1,
     )
-    # Depth is fixed before pruning and kept afterwards: pruning judges
-    # necessity at this bound, so shrinking the bound later could orphan a
-    # derivation that was in range when the drop was accepted.
+    # Depth is fixed before pruning and kept afterwards, which pins the
+    # certificate's bytes. A bound recomputed after pruning would pass too:
+    # it only filters query lengths, and _required_depth covers every word
+    # the conditions query.
     cert = replace(cert, depth=_required_depth(cert))
     fresh = certify_normal_generation(cert)
     if not fresh.ok:

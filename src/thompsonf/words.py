@@ -32,6 +32,8 @@ def word_to_text(u: Word) -> str:
 
 
 def word_from_text(text: str) -> Word:
+    if not isinstance(text, str):
+        raise TypeError(f"a word must be a string, got {text!r}")
     if text == "e":
         return EMPTY
     return check_word(text)

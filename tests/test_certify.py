@@ -6,6 +6,7 @@ import time
 
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from thompsonf import (
     X0,
@@ -285,10 +286,14 @@ def test_json_rejects_non_object():
         (("right_schema", "base_count"), True),
         (("depth",), 12.0),
         (("depth",), "12"),
+        (("f",), {"domain": "e", "range": "e"}),
+        (("tree",), lambda doc: "".join(doc["tree"])),
     ],
 )
 def test_json_decoding_is_strict(good, path, value):
     doc = certificate_to_dict(good)
+    if callable(value):
+        value = value(doc)
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -296,6 +301,102 @@ def test_json_decoding_is_strict(good, path, value):
     with pytest.raises(CertificateFormatError) as err:
         certificate_from_json(json.dumps(doc))
     assert err.value.code == "invalid-certificate"
+
+
+@pytest.mark.parametrize(
+    "key", ["f", "g", "tree", "w", "witnesses", "left_schema", "right_schema", "slope", "depth"]
+)
+def test_json_missing_field_is_invalid_certificate(good, key):
+    doc = certificate_to_dict(good)
+    del doc[key]
+    with pytest.raises(CertificateFormatError) as err:
+        certificate_from_json(json.dumps(doc))
+    assert err.value.code == "invalid-certificate"
+
+
+# Mutation fuzz: at one path of a genuine certificate dict, delete the key
+# (or list item) or put one of a fixed set of JSON values there. Decoding
+# and checking must end in a CertifyResult or a CertificateFormatError. The
+# values hold no large exponents, so every check stays small.
+class _Delete:
+    def __repr__(self):
+        return "DELETE"
+
+
+_DELETE = _Delete()
+_REPLACEMENTS = (_DELETE, None, 0, -1, True, 1.5, "", "e", "x", [], {})
+
+
+def _paths(obj, prefix=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+_FUZZ_DOCS = [
+    certificate_to_dict(synthesize(X0, 1, 1).certificate),
+    certificate_to_dict(synthesize(X0, 2, 0).certificate),
+]
+_MUTATIONS = [
+    (i, path, value)
+    for i, doc in enumerate(_FUZZ_DOCS)
+    for path in _paths(doc)
+    for value in _REPLACEMENTS
+]
+
+
+def _mutate(doc, path, value) -> None:
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+
+
+@st.composite
+def _mutations(draw, doc):
+    """A path into `doc`, descending one level at a time, and a replacement."""
+    path, node = (), doc
+    while isinstance(node, (dict, list)) and node:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+        if draw(st.booleans()):
+            break
+    return path, draw(st.sampled_from(_REPLACEMENTS))
+
+
+def _decode_and_check(doc) -> None:
+    try:
+        cert = certificate_from_json(json.dumps(doc))
+    except CertificateFormatError:
+        return
+    assert isinstance(certify_normal_generation(cert), certify_module.CertifyResult)
+
+
+def test_every_single_mutation_decodes_or_fails_cleanly():
+    for i, path, value in _MUTATIONS:
+        doc = json.loads(json.dumps(_FUZZ_DOCS[i]))
+        _mutate(doc, path, value)
+        _decode_and_check(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc_index=st.sampled_from((0, 1)), rounds=st.integers(1, 3), data=st.data())
+def test_stacked_mutations_decode_or_fail_cleanly(doc_index, rounds, data):
+    doc = json.loads(json.dumps(_FUZZ_DOCS[doc_index]))
+    for _ in range(rounds):
+        if not doc:
+            break
+        _mutate(doc, *data.draw(_mutations(doc)))
+    _decode_and_check(doc)
 
 
 def test_unknown_symbol_is_a_fail_value(good):
