@@ -26,15 +26,11 @@ from typing import NamedTuple
 from .element import (
     Element,
     GroupWord,
-    IDENTITY,
-    compose,
     eval_word,
     evaluate,
     format_group_word,
     from_codes,
     has_branch_pair,
-    image_of_interval,
-    invert,
     parse_group_word,
     slope_left,
     slope_right,
@@ -49,11 +45,6 @@ from .words import (
 )
 
 Relation = tuple[Word, Word]
-
-
-def relation(u: Word, v: Word) -> Relation:
-    """Canonical orientation: lexicographic min first."""
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,40 +221,6 @@ class SuffixCongruence:
         return self.walk(u) == self.walk(v)
 
 
-def saturate(seeds, L: int) -> frozenset[Relation]:
-    """Length-bounded least fixpoint of the three closure rules.
-
-    Materializes every derivable relation between words of length <= L;
-    exponential in L, intended for small bounds (the certifier itself uses
-    SuffixCongruence, which needs no bound).
-    """
-    from collections import defaultdict, deque
-
-    rels: set[Relation] = set()
-    adj: dict[Word, set[Word]] = defaultdict(set)
-    queue: deque[Relation] = deque()
-    for u, v in seeds:
-        if max(len(u), len(v)) > L:
-            raise ValueError(f"seed longer than bound {L}: ({u!r}, {v!r})")
-        queue.append(relation(u, v))
-    while queue:
-        pair = queue.popleft()
-        if pair in rels:
-            continue
-        rels.add(pair)
-        u, v = pair
-        adj[u].add(v)
-        adj[v].add(u)
-        if max(len(u), len(v)) + 1 <= L:
-            queue.append(relation(u + "0", v + "0"))
-            queue.append(relation(u + "1", v + "1"))
-        for z in adj[v]:
-            queue.append(relation(u, z))
-        for z in adj[u]:
-            queue.append(relation(z, v))
-    return frozenset(rels)
-
-
 # --- certificate checks -------------------------------------------------------
 
 
@@ -378,11 +335,12 @@ class BoundedRelation:
     which are no longer than the longest seed, so any congruence-equal pair
     (u, v) has a pair derivation whose intermediates stay within
     max(longest seed, |u|, |v|). For bounds at or above the longest seed,
-    membership in saturate(seeds, L) is therefore the congruence relation
-    restricted to words of length <= L. Bounds below the longest seed are
-    rejected with ValueError, matching saturate; every subset `reclose`
-    keeps then satisfies the bound too. Cross-checked against the
-    materialized saturation in the test suite."""
+    membership in the saturation of the seeds at bound L is therefore the
+    congruence relation restricted to words of length <= L. Bounds below
+    the longest seed are rejected with ValueError, as the saturation itself
+    rejects them; every subset `reclose` keeps then satisfies the bound too.
+    Cross-checked against the materialized saturation, `saturate` in
+    tests/oracles.py."""
 
     __slots__ = ("_cong", "_bound")
 
@@ -494,54 +452,6 @@ def certify_normal_generation(
     return _pass()
 
 
-# --- brute-force oracle -------------------------------------------------------
-
-
-def enumerate_ball(f: Element, g: Element, word_len: int):
-    """All products of f, g and their inverses up to word_len, as (word, element).
-
-    Breadth-first in deterministic order; words are not freely reduced, so
-    the same element may appear under several words.
-    """
-    letters = [(("f", 1),), (("f", -1),), (("g", 1),), (("g", -1),)]
-    values = [f, invert(f), g, invert(g)]
-    layer: list[tuple[GroupWord, Element]] = [((), IDENTITY)]
-    yield ((), IDENTITY)
-    for _ in range(word_len):
-        nxt = []
-        for word, h in layer:
-            for letter, value in zip(letters, values):
-                item = (word + letter, compose(h, value))
-                nxt.append(item)
-                yield item
-        layer = nxt
-
-
-def brute_force_relations(
-    f: Element, g: Element, word_len: int, word_depth: int
-) -> frozenset[Relation]:
-    """Every relation u ~ v with |u|,|v| <= word_depth realized by a product
-    of at most word_len generator letters."""
-    if word_len < 1 or word_depth < 1:
-        raise ValueError("bounds must be >= 1")
-    intervals: list[Word] = [""]
-    frontier = [""]
-    for _ in range(word_depth):
-        frontier = [u + ch for u in frontier for ch in "01"]
-        intervals.extend(frontier)
-    rels: set[Relation] = set()
-    seen: set[Element] = set()
-    for _, h in enumerate_ball(f, g, word_len):
-        if h in seen:
-            continue
-        seen.add(h)
-        for u in intervals:
-            v = image_of_interval(h, u)
-            if v is not None and len(v) <= word_depth:
-                rels.add(relation(u, v))
-    return frozenset(rels)
-
-
 # --- JSON codec ---------------------------------------------------------------
 
 FORMAT_TAG = "thompsonf.certificate/1"
@@ -601,18 +511,38 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
 
 
-def _list_from_obj(value, field: str) -> list:
+def _field(obj, key: str, where: str = ""):
+    """obj[key], with a missing key reported as a missing field of `where`
+    (the top level when empty). Any other fault is left to the caller."""
+    if isinstance(obj, dict) and key not in obj:
+        prefix = f"{where}: " if where else ""
+        raise CertificateFormatError("invalid-certificate", f"{prefix}missing field {key!r}")
+    return obj[key]
+
+
+def _list_field(obj, key: str, where: str = "") -> list:
+    value = _field(obj, key, where)
     # a string would otherwise be read one character per item
     if not isinstance(value, list):
-        raise TypeError(f"{field} must be an array, got {value!r}")
+        raise TypeError(f"{key} must be an array, got {value!r}")
+    return value
+
+
+def _int_field(obj, key: str, where: str = "") -> int:
+    value = _field(obj, key, where)
+    # bool is an int subclass and a float would be silently truncated
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def _element_from_obj(obj, where: str) -> Element:
     try:
-        domain = [word_from_text(t) for t in _list_from_obj(obj["domain"], "domain")]
-        rng = [word_from_text(t) for t in _list_from_obj(obj["range"], "range")]
+        domain = [word_from_text(t) for t in _list_field(obj, "domain", where)]
+        rng = [word_from_text(t) for t in _list_field(obj, "range", where)]
         return from_codes(domain, rng)
+    except CertificateFormatError:
+        raise
     except (KeyError, TypeError) as exc:
         raise CertificateFormatError("invalid-certificate", f"{where}: {exc}") from exc
     except ValueError as exc:
@@ -629,35 +559,30 @@ def _group_word_from_obj(text) -> GroupWord:
     return word
 
 
-def _int_from_obj(value, field: str) -> int:
-    # bool is an int subclass and a float would be silently truncated
-    if type(value) is not int:
-        raise TypeError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _witness_from_obj(obj, where: str) -> Witness:
     try:
         return Witness(
-            word=_group_word_from_obj(obj["word"]),
-            lhs=word_from_text(obj["lhs"]),
-            rhs=word_from_text(obj["rhs"]),
+            word=_group_word_from_obj(_field(obj, "word", where)),
+            lhs=word_from_text(_field(obj, "lhs", where)),
+            rhs=word_from_text(_field(obj, "rhs", where)),
         )
+    except CertificateFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError("invalid-certificate", f"{where}: {exc}") from exc
 
 
 def _schema_from_obj(obj, where: str) -> ShiftSchema:
     try:
-        tail = obj["tail"]
+        tail = _field(obj, "tail", where)
         if tail not in ("0", "1"):
             raise ValueError(f"tail must be '0' or '1', got {tail!r}")
         return ShiftSchema(
             tail=tail,
-            stem=word_from_text(obj["stem"]),
-            suffix=word_from_text(obj["suffix"]),
-            base_count=_int_from_obj(obj["base_count"], "base_count"),
-            witness=_witness_from_obj(obj["witness"], where + ".witness"),
+            stem=word_from_text(_field(obj, "stem", where)),
+            suffix=word_from_text(_field(obj, "suffix", where)),
+            base_count=_int_field(obj, "base_count", where),
+            witness=_witness_from_obj(_field(obj, "witness", where), where + ".witness"),
         )
     except CertificateFormatError:
         raise
@@ -674,21 +599,21 @@ def certificate_from_dict(obj) -> Certificate:
         # keyword order is decoding order: it fixes which fault a
         # certificate with several is reported for
         return Certificate(
-            tree=tuple(word_from_text(t) for t in _list_from_obj(obj["tree"], "tree")),
-            w=word_from_text(obj["w"]),
+            tree=tuple(word_from_text(t) for t in _list_field(obj, "tree")),
+            w=word_from_text(_field(obj, "w")),
             witnesses=tuple(
                 _witness_from_obj(o, f"witnesses[{i}]")
-                for i, o in enumerate(_list_from_obj(obj["witnesses"], "witnesses"))
+                for i, o in enumerate(_list_field(obj, "witnesses"))
             ),
             slope=SlopeWitness(
-                word=_group_word_from_obj(obj["slope"]["word"]),
-                alpha=word_from_text(obj["slope"]["alpha"]),
+                word=_group_word_from_obj(_field(_field(obj, "slope"), "word", "slope")),
+                alpha=word_from_text(_field(_field(obj, "slope"), "alpha", "slope")),
             ),
-            depth=_int_from_obj(obj["depth"], "depth"),
-            f=_element_from_obj(obj["f"], "f"),
-            g=_element_from_obj(obj["g"], "g"),
-            left_schema=_schema_from_obj(obj["left_schema"], "left_schema"),
-            right_schema=_schema_from_obj(obj["right_schema"], "right_schema"),
+            depth=_int_field(obj, "depth"),
+            f=_element_from_obj(_field(obj, "f"), "f"),
+            g=_element_from_obj(_field(obj, "g"), "g"),
+            left_schema=_schema_from_obj(_field(obj, "left_schema"), "left_schema"),
+            right_schema=_schema_from_obj(_field(obj, "right_schema"), "right_schema"),
         )
     except CertificateFormatError:
         raise

@@ -44,13 +44,12 @@ from .element import (
     Element,
     GroupWord,
     abelianize,
-    eval_word,
     flip,
     from_codes,
     invert,
 )
 from .lattice import companion_rectangular, complete_basis, index_of
-from .words import Word, is_complete_prefix_code
+from .words import Word
 
 Tree = tuple[Word, ...]
 Row = tuple[Word, Word]
@@ -206,35 +205,16 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     return replace(cert, witnesses=tuple(cert.witnesses[k] for k in kept))
 
 
-def self_check_blocks(result: SynthesisResult) -> None:
-    """Re-derive the partner from the block tables alone and compare."""
-    rows = [row for _, block in result.blocks for row in block]
-    dom = [p for p, _ in rows]
-    rng = [q for _, q in rows]
-    if not is_complete_prefix_code(dom):
-        raise AssertionError("block domains do not tile [0,1]")
-    if not is_complete_prefix_code(rng):
-        raise AssertionError("block ranges do not tile [0,1]")
-    if from_codes(dom, rng) != eval_word(result.block_word, {"g": result.g}):
-        raise AssertionError("block tables do not rebuild the partner")
-    if abelianize(result.g) != result.target:
-        raise AssertionError("partner misses its abelianization target")
-
-
 def _finish(
     cert: Certificate,
     target: AbelianImage,
     part: int,
     blocks: Blocks,
     block_word: GroupWord,
-    what: str,
 ) -> SynthesisResult:
-    """The one tail every result goes through: certify, then wrap."""
-    check = certify_normal_generation(cert)
-    if not check.ok:
-        raise AssertionError(f"{what} certificate rejected: {check}")
+    """Wrap a certificate as an unchecked result; `_certified` judges it."""
     basis = (tuple(abelianize(cert.f)), tuple(target))
-    result = SynthesisResult(
+    return SynthesisResult(
         g=cert.g,
         certificate=cert,
         target=target,
@@ -244,7 +224,20 @@ def _finish(
         basis=basis,
         index=index_of(basis),
     )
-    self_check_blocks(result)
+
+
+def _certified(result: SynthesisResult) -> SynthesisResult:
+    """The one check of a result, made on what is returned: g hits the
+    target it is labelled with, and the emitted certificate passes.
+
+    Inversion and mirroring preserve validity, and pruning only drops
+    witnesses, so the unpruned or untransformed certificates need no check
+    of their own: a fault in any of those steps shows up here."""
+    if abelianize(result.g) != result.target:
+        raise AssertionError("partner misses its abelianization target")
+    check = certify_normal_generation(result.certificate)
+    if not check.ok:
+        raise AssertionError(f"pruned certificate rejected: {check}")
     return result
 
 
@@ -267,9 +260,7 @@ def _invert_result(res: SynthesisResult) -> SynthesisResult:
         slope=SlopeWitness(_invert_g_word(cert.slope.word), cert.slope.alpha),
     )
     target = AbelianImage(-res.target.at_zero, -res.target.at_one)
-    return _finish(
-        new_cert, target, res.part, res.blocks, _invert_g_word(res.block_word), "inverted"
-    )
+    return _finish(new_cert, target, res.part, res.blocks, _invert_g_word(res.block_word))
 
 
 def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
@@ -314,7 +305,7 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
         (name, tuple((_flip_word(p), _flip_word(q)) for p, q in reversed(rows)))
         for name, rows in reversed(res.blocks)
     )
-    return _finish(new_cert, target, 3, blocks, res.block_word, "mirrored")
+    return _finish(new_cert, target, 3, blocks, res.block_word)
 
 
 # --- the constructions --------------------------------------------------------
@@ -417,19 +408,14 @@ def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
     # it only filters query lengths, and _required_depth covers every word
     # the conditions query.
     cert = replace(cert, depth=_required_depth(cert))
-    fresh = certify_normal_generation(cert)
-    if not fresh.ok:
-        raise AssertionError(f"construction produced a rejected certificate: {fresh}")
-    return _finish(
-        _prune_witnesses(cert), AbelianImage(c, d), part, blocks, gword, "pruned"
-    )
+    return _finish(_prune_witnesses(cert), AbelianImage(c, d), part, blocks, gword)
 
 
 def construct_part1(f: Element, c: int, d: int) -> SynthesisResult:
     """Partner with image (c, d), both non-zero; works for every f != 1."""
     if c == 0 or d == 0:
         raise PreconditionViolated("interior construction needs c != 0 and d != 0")
-    return _construct(f, c, d, part=1)
+    return _certified(_construct(f, c, d, part=1))
 
 
 def construct_part2(f: Element, c: int) -> SynthesisResult:
@@ -440,7 +426,7 @@ def construct_part2(f: Element, c: int) -> SynthesisResult:
     the schema shifts along f's own tail pair 1^m -> 1^{m-l}."""
     if c == 0:
         raise PreconditionViolated("boundary construction needs c != 0")
-    return _construct(f, c, 0, part=2)
+    return _certified(_construct(f, c, 0, part=2))
 
 
 def construct_part3(f: Element, d: int) -> SynthesisResult:
@@ -449,14 +435,14 @@ def construct_part3(f: Element, d: int) -> SynthesisResult:
     Mirror image of the (d, 0) construction applied to flip(f)."""
     if d == 0:
         raise PreconditionViolated("boundary construction needs d != 0")
-    return _flip_result(construct_part2(flip(f), d), f)
+    return _certified(_flip_result(_construct(flip(f), d, 0, part=2), f))
 
 
 def construct_part4(f: Element) -> SynthesisResult:
     """Partner inside the derived subgroup: image (0, 0); needs f of
     non-trivial slope at both endpoints. Both ends are rigid and both
     schemas shift along branch pairs of f."""
-    return _construct(f, 0, 0, part=4)
+    return _certified(_construct(f, 0, 0, part=4))
 
 
 def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
@@ -473,16 +459,12 @@ def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
     if d == 0 and b == 0:
         raise PreconditionViolated("target d = 0 needs f of non-trivial slope at 1-")
     if c != 0 and d != 0:
-        result = construct_part1(f, c, d)
-    elif c != 0:
-        result = construct_part2(f, c)
-    elif d != 0:
-        result = construct_part3(f, d)
-    else:
-        result = construct_part4(f)
-    if result.target != (c, d):
-        raise AssertionError(f"partner hits {result.target}, not {(c, d)}")
-    return result
+        return construct_part1(f, c, d)
+    if c != 0:
+        return construct_part2(f, c)
+    if d != 0:
+        return construct_part3(f, d)
+    return construct_part4(f)
 
 
 def complete_generating_pair(f: Element) -> SynthesisResult:
@@ -490,11 +472,7 @@ def complete_generating_pair(f: Element) -> SynthesisResult:
 
     Requires gcd of the image of f to be 1."""
     a, b = abelianize(f)
-    c, d = complete_basis(a, b)
-    result = synthesize(f, c, d)
-    if result.index != 1:
-        raise AssertionError(f"joint image has index {result.index}, not 1")
-    return result
+    return synthesize(f, *complete_basis(a, b))
 
 
 def finite_index_pair(f: Element) -> SynthesisResult:
@@ -503,8 +481,5 @@ def finite_index_pair(f: Element) -> SynthesisResult:
     The index equals pq from the rectangular form of the image of f;
     requires that image to be non-zero."""
     a, b = abelianize(f)
-    c, d, form = companion_rectangular(a, b)
-    result = synthesize(f, c, d)
-    if result.index != form.p * form.q:
-        raise AssertionError(f"joint image has index {result.index}, not {form.p * form.q}")
-    return result
+    c, d, _ = companion_rectangular(a, b)
+    return synthesize(f, c, d)

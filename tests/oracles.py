@@ -1,0 +1,122 @@
+"""Slow reference implementations the tests check the package against.
+
+None of these is used by the package itself: the checker decides the
+closure with `SuffixCongruence`, and synthesis certifies the result it
+returns. They stay small and obviously correct instead of fast.
+"""
+
+from collections import defaultdict, deque
+
+from thompsonf.element import (
+    IDENTITY,
+    Element,
+    GroupWord,
+    abelianize,
+    compose,
+    eval_word,
+    from_codes,
+    image_of_interval,
+    invert,
+)
+from thompsonf.words import Word, is_complete_prefix_code
+
+Relation = tuple[Word, Word]
+
+
+def relation(u: Word, v: Word) -> Relation:
+    """Canonical orientation: lexicographic min first."""
+    return (u, v) if u <= v else (v, u)
+
+
+def saturate(seeds, L: int) -> frozenset[Relation]:
+    """Length-bounded least fixpoint of the three closure rules.
+
+    Materializes every derivable relation between words of length <= L;
+    exponential in L, intended for small bounds (the certifier itself uses
+    SuffixCongruence, which needs no bound).
+    """
+    rels: set[Relation] = set()
+    adj: dict[Word, set[Word]] = defaultdict(set)
+    queue: deque[Relation] = deque()
+    for u, v in seeds:
+        if max(len(u), len(v)) > L:
+            raise ValueError(f"seed longer than bound {L}: ({u!r}, {v!r})")
+        queue.append(relation(u, v))
+    while queue:
+        pair = queue.popleft()
+        if pair in rels:
+            continue
+        rels.add(pair)
+        u, v = pair
+        adj[u].add(v)
+        adj[v].add(u)
+        if max(len(u), len(v)) + 1 <= L:
+            queue.append(relation(u + "0", v + "0"))
+            queue.append(relation(u + "1", v + "1"))
+        for z in adj[v]:
+            queue.append(relation(u, z))
+        for z in adj[u]:
+            queue.append(relation(z, v))
+    return frozenset(rels)
+
+
+def enumerate_ball(f: Element, g: Element, word_len: int):
+    """All products of f, g and their inverses up to word_len, as (word, element).
+
+    Breadth-first in deterministic order; words are not freely reduced, so
+    the same element may appear under several words.
+    """
+    letters = [(("f", 1),), (("f", -1),), (("g", 1),), (("g", -1),)]
+    values = [f, invert(f), g, invert(g)]
+    layer: list[tuple[GroupWord, Element]] = [((), IDENTITY)]
+    yield ((), IDENTITY)
+    for _ in range(word_len):
+        nxt = []
+        for word, h in layer:
+            for letter, value in zip(letters, values):
+                item = (word + letter, compose(h, value))
+                nxt.append(item)
+                yield item
+        layer = nxt
+
+
+def brute_force_relations(
+    f: Element, g: Element, word_len: int, word_depth: int
+) -> frozenset[Relation]:
+    """Every relation u ~ v with |u|,|v| <= word_depth realized by a product
+    of at most word_len generator letters."""
+    if word_len < 1 or word_depth < 1:
+        raise ValueError("bounds must be >= 1")
+    intervals: list[Word] = [""]
+    frontier = [""]
+    for _ in range(word_depth):
+        frontier = [u + ch for u in frontier for ch in "01"]
+        intervals.extend(frontier)
+    rels: set[Relation] = set()
+    seen: set[Element] = set()
+    for _, h in enumerate_ball(f, g, word_len):
+        if h in seen:
+            continue
+        seen.add(h)
+        for u in intervals:
+            v = image_of_interval(h, u)
+            if v is not None and len(v) <= word_depth:
+                rels.add(relation(u, v))
+    return frozenset(rels)
+
+
+def self_check_blocks(result) -> None:
+    """Re-derive a synthesis result's partner from its block tables alone
+    and compare: the blocks tile [0,1] on both sides, rebuild g (or g^-1,
+    as `block_word` says), and g hits its target."""
+    rows = [row for _, block in result.blocks for row in block]
+    dom = [p for p, _ in rows]
+    rng = [q for _, q in rows]
+    if not is_complete_prefix_code(dom):
+        raise AssertionError("block domains do not tile [0,1]")
+    if not is_complete_prefix_code(rng):
+        raise AssertionError("block ranges do not tile [0,1]")
+    if from_codes(dom, rng) != eval_word(result.block_word, {"g": result.g}):
+        raise AssertionError("block tables do not rebuild the partner")
+    if abelianize(result.g) != result.target:
+        raise AssertionError("partner misses its abelianization target")

@@ -17,17 +17,14 @@ from thompsonf import (
     X0,
     X1,
     abelianize,
-    brute_force_relations,
     certify_normal_generation,
     compose,
     complete_generating_pair,
-    enumerate_ball,
     eval_word,
     has_branch_pair,
     invert,
     lattice_contains,
     power,
-    relation,
     synthesize,
 )
 from thompsonf.certify import (
@@ -41,6 +38,7 @@ from thompsonf.lattice import companion_rectangular, index_of
 from thompsonf.synthesis import construct_part1
 
 from conftest import GENS
+from oracles import brute_force_relations, enumerate_ball, relation
 import random
 
 

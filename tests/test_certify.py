@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
@@ -25,17 +26,15 @@ from thompsonf.certify import (
     SlopeWitness,
     SuffixCongruence,
     Witness,
-    brute_force_relations,
     certificate_from_json,
     certificate_to_dict,
     certificate_to_json,
     certify_normal_generation,
     closure_seeds,
-    enumerate_ball,
-    relation,
-    saturate,
     verify_witness,
 )
+
+from oracles import brute_force_relations, enumerate_ball, relation, saturate
 
 
 # --- relation and closure engines ----------------------------------------------
@@ -304,14 +303,23 @@ def test_json_decoding_is_strict(good, path, value):
 
 
 @pytest.mark.parametrize(
-    "key", ["f", "g", "tree", "w", "witnesses", "left_schema", "right_schema", "slope", "depth"]
+    "key",
+    [
+        "f", "g", "tree", "w", "witnesses", "left_schema", "right_schema", "slope", "depth",
+        "left_schema.stem", "slope.word", "witnesses[0].lhs",
+    ],
 )
 def test_json_missing_field_is_invalid_certificate(good, key):
     doc = certificate_to_dict(good)
-    del doc[key]
+    where, _, field = key.rpartition(".")
+    target = doc
+    for step in re.findall(r"\w+", where):  # "witnesses[0]" -> witnesses, 0
+        target = target[int(step)] if step.isdigit() else target[step]
+    del target[field]
     with pytest.raises(CertificateFormatError) as err:
         certificate_from_json(json.dumps(doc))
     assert err.value.code == "invalid-certificate"
+    assert err.value.detail == (f"{where}: " if where else "") + f"missing field {field!r}"
 
 
 # Mutation fuzz: at one path of a genuine certificate dict, delete the key

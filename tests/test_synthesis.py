@@ -25,6 +25,7 @@ from thompsonf import (
     synthesize,
 )
 from thompsonf.dynamics import IdentityInput, PreconditionViolated
+from thompsonf import synthesis
 from thompsonf.lattice import INFINITE
 from thompsonf.synthesis import (
     build_scaffold_tree,
@@ -32,10 +33,10 @@ from thompsonf.synthesis import (
     construct_part2,
     construct_part3,
     construct_part4,
-    self_check_blocks,
 )
 
 from conftest import elements
+from oracles import self_check_blocks
 
 
 # frozen run of the canonical example: partner of x0 for target (1,1)
@@ -120,6 +121,7 @@ def test_dispatch_and_signs():
         assert abelianize(res.g) == AbelianImage(c, d)
         assert certify_normal_generation(res.certificate).ok
         assert res.basis == (tuple(abelianize(f)), (c, d))
+        self_check_blocks(res)
 
 
 def test_synthesize_rejects_identity_and_unreachable_targets():
@@ -159,6 +161,7 @@ def test_random_inputs_interior_target(f):
     res = synthesize(f, 1, -2)
     assert abelianize(res.g) == AbelianImage(1, -2)
     assert certify_normal_generation(res.certificate).ok
+    self_check_blocks(res)
 
 
 def test_scaffold_tree_shape():
@@ -204,24 +207,66 @@ def test_witnesses_are_minimal(rng):
             assert not certify_normal_generation(trimmed).ok
 
 
+@pytest.mark.parametrize(
+    "build, args, part",
+    [
+        pytest.param(synthesize, (X0, 1, 1), 1, id="synthesize-part1"),
+        pytest.param(synthesize, (X0, -2, 3), 1, id="synthesize-part1-negative-c"),
+        pytest.param(synthesize, (X0, 2, 0), 2, id="synthesize-part2"),
+        pytest.param(synthesize, (X0, 0, -3), 3, id="synthesize-part3"),
+        pytest.param(synthesize, (X0, 0, 0), 4, id="synthesize-part4"),
+        pytest.param(construct_part1, (X0, 2, -1), 1, id="construct_part1"),
+        pytest.param(construct_part2, (X0, -2), 2, id="construct_part2"),
+        pytest.param(construct_part3, (X0, 2), 3, id="construct_part3"),
+        pytest.param(construct_part4, (X0,), 4, id="construct_part4"),
+        pytest.param(complete_generating_pair, (X0,), 2, id="complete_generating_pair"),
+        pytest.param(finite_index_pair, (power(X0, 2),), 3, id="finite_index_pair"),
+    ],
+)
+def test_each_result_is_certified_once(monkeypatch, build, args, part):
+    # inversion, mirroring and pruning preserve validity; only the emitted
+    # certificate is checked, once
+    calls = []
+
+    def counting(cert, *rest):
+        calls.append(cert)
+        return certify_normal_generation(cert, *rest)
+
+    monkeypatch.setattr(synthesis, "certify_normal_generation", counting)
+    res = build(*args)
+    assert res.part == part
+    assert calls == [res.certificate]
+
+
 def test_output_guards_survive_optimized_mode():
-    # Under `python -O` bare asserts vanish; the re-check of the pruned
-    # certificate must still refuse a construction whose pruning went wrong.
+    # Under `python -O` bare asserts vanish; the one check of the returned
+    # result must still refuse a construction whose pruning went wrong, and
+    # one whose partner misses the target it is labelled with.
     script = textwrap.dedent(
         """
         import sys
         from dataclasses import replace
-        from thompsonf import X0, synthesis
+        from thompsonf import X0, AbelianImage, synthesis
 
         if sys.flags.optimize < 1:
             sys.exit("not running under -O")
-        synthesis._prune_witnesses = lambda cert: replace(cert, witnesses=())
-        try:
-            synthesis.synthesize(X0, 1, 1)
-        except AssertionError as exc:
-            print("refused:", exc)
-            sys.exit(0)
-        sys.exit("synthesize returned a certificate it never re-checked")
+        faults = {
+            "_prune_witnesses": lambda real: lambda cert: replace(cert, witnesses=()),
+            "_construct": lambda real: lambda f, c, d, part: replace(
+                real(f, c, d, part), target=AbelianImage(c + 1, d)
+            ),
+        }
+        for name, fault in faults.items():
+            real = getattr(synthesis, name)
+            setattr(synthesis, name, fault(real))
+            try:
+                synthesis.synthesize(X0, 1, 1)
+            except AssertionError as exc:
+                print("refused:", exc)
+            else:
+                sys.exit(f"synthesize returned a result it never checked ({name})")
+            finally:
+                setattr(synthesis, name, real)
         """
     )
     src = os.path.dirname(os.path.dirname(thompsonf.__file__))
@@ -230,4 +275,5 @@ def test_output_guards_survive_optimized_mode():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert "pruned certificate rejected" in proc.stdout
+    assert "refused: pruned certificate rejected" in proc.stdout
+    assert "refused: partner misses its abelianization target" in proc.stdout
