@@ -111,10 +111,6 @@ class CertifyResult(NamedTuple):
         return f"FAIL {self.code}: {self.detail}"
 
 
-def _pass() -> CertifyResult:
-    return CertifyResult(True, "PASS", "")
-
-
 def _fail(code: str, detail: str) -> CertifyResult:
     return CertifyResult(False, code, detail)
 
@@ -131,70 +127,88 @@ class SuffixCongruence:
     membership exactly for arbitrary words, including words outside the trie
     (their class is determined by the longest materialized prefix).
 
-    The trie itself is kept apart from the union-find state, so `reclose`
-    can re-close over any subset of the seeds without rebuilding it. Nodes
-    that only the dropped seeds named change no answer: folding on any
-    prefix-closed trie that holds the kept seed words decides the same
-    congruence.
+    The trie is built once and closed over every seed. Folds are logged
+    (union by size, no path compression): `rollback` undoes those since a
+    `mark`, `rollback(0)` all of them, and `add` folds seeds back in. Extra
+    nodes change no answer, as folding on any prefix-closed trie holding the
+    added seed words decides the same congruence; so `weighted` words are
+    materialized too, each distinct node of weight 1 that `weight` counts.
     """
 
-    __slots__ = ("_trie", "_pairs", "_parent", "_size", "_children")
+    __slots__ = ("_pairs", "_parent", "_size", "_weight", "_children", "_log")
 
-    def __init__(self, seeds):
-        self._trie: list[dict[str, int]] = [{}]  # prefix trie, never merged
-        self._pairs = [(self._add(u), self._add(v)) for u, v in seeds]
-        self.reclose(range(len(self._pairs)))
+    def __init__(self, seeds, weighted=()):
+        self._children: list[dict[str, int]] = [{}]  # trie; roots gain folded keys
+        self._pairs = [(self._node(u), self._node(v)) for u, v in seeds]
+        heavy = {self._node(x) for x in weighted}
+        self._parent = list(range(len(self._children)))
+        self._size = [1] * len(self._parent)
+        self._weight = [int(i in heavy) for i in range(len(self._parent))]
+        self._log: list[tuple[int, int, list[str]]] = []  # (root, merged, keys)
+        self.add(range(len(self._pairs)))
 
-    def _add(self, word: Word) -> int:
-        trie = self._trie
-        cur = 0
+    def _node(self, word: Word) -> int:
+        children, cur = self._children, 0
         for ch in word:
-            kids = trie[cur]
-            nxt = kids.get(ch)
+            nxt = children[cur].get(ch)
             if nxt is None:
-                nxt = kids[ch] = len(trie)
-                trie.append({})
+                nxt = children[cur][ch] = len(children)
+                children.append({})
             cur = nxt
         return cur
 
     def _find(self, i: int) -> int:
         parent = self._parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+        while parent[i] != i:
+            i = parent[i]
+        return i
 
-    def reclose(self, keep) -> None:
-        """Close over the seeds at the indices in `keep` alone, forgetting
-        every earlier merge."""
-        n = len(self._trie)
-        parent = self._parent = list(range(n))
-        size = self._size = [1] * n
-        children = self._children = [kids.copy() for kids in self._trie]
-        find = self._find
-        pairs = self._pairs
-        stack = [pairs[k] for k in keep]
+    def add(self, indices) -> None:
+        """Fold the seed pairs at the given indices into the closure."""
+        parent, size, weight = self._parent, self._size, self._weight
+        children, log, find = self._children, self._log, self._find
+        stack = [self._pairs[k] for k in indices]
         while stack:
             a, b = stack.pop()
-            ra = a if parent[a] == a else find(a)
-            rb = b if parent[b] == b else find(b)
+            ra, rb = find(a), find(b)
             if ra == rb:
                 continue
             if size[ra] < size[rb]:
                 ra, rb = rb, ra
             parent[rb] = ra
             size[ra] += size[rb]
-            merged = children[rb]
-            children[rb] = None
+            weight[ra] += weight[rb]
             into = children[ra]
-            for ch, node in merged.items():
+            keys = []
+            for ch, node in children[rb].items():
                 other = into.get(ch)
                 if other is None:
                     into[ch] = node
+                    keys.append(ch)
                 else:
                     stack.append((other, node))
+            log.append((ra, rb, keys))
+
+    def mark(self) -> int:
+        """The point `rollback` returns to: the folds made so far."""
+        return len(self._log)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every fold made since `mark`, newest first."""
+        parent, size, weight = self._parent, self._size, self._weight
+        children, log = self._children, self._log
+        while len(log) > mark:
+            ra, rb, keys = log.pop()
+            for ch in keys:
+                del children[ra][ch]
+            parent[rb] = rb
+            size[ra] -= size[rb]
+            weight[ra] -= weight[rb]
+
+    def weight(self, word: Word) -> int:
+        """How many weighted nodes the class of `word` holds."""
+        cur, rest = self.walk(word)
+        return 0 if rest else self._weight[cur]
 
     def walk(self, word: Word, state: tuple[int, Word] | None = None) -> tuple[int, Word]:
         """(class, unread rest) reached by reading `word` from `state`.
@@ -203,10 +217,7 @@ class SuffixCongruence:
         iff their walks agree. Reading `x` from the walk of `p` gives the
         walk of `p + x`: once a walk leaves the materialized classes, the
         rest of the word just accumulates."""
-        if state is None:
-            cur, rest = self._find(0), ""
-        else:
-            cur, rest = state
+        cur, rest = (self._find(0), "") if state is None else state
         if rest:
             return cur, rest + word
         children, find = self._children, self._find
@@ -262,14 +273,9 @@ def _schema_error(
     cert: Certificate, schema: ShiftSchema, closure: BoundedRelation, side: str
 ) -> str | None:
     t = schema.tail
-    expected_stem = cert.tree[0] if side == "left" else cert.tree[-1]
-    expected_tail = "0" if side == "left" else "1"
-    expected_suffix = "1" if side == "left" else "0"
-    if (schema.stem, t, schema.suffix) != (expected_stem, expected_tail, expected_suffix):
-        return (
-            f"{side} schema must cover {word_to_text(expected_stem)}"
-            f"{expected_tail}^i{expected_suffix}"
-        )
+    stem, tail, suffix = (cert.tree[0], "0", "1") if side == "left" else (cert.tree[-1], "1", "0")
+    if (schema.stem, t, schema.suffix) != (stem, tail, suffix):
+        return f"{side} schema must cover {word_to_text(stem)}{tail}^i{suffix}"
     x, y = schema.witness.lhs, schema.witness.rhs
     base = x.rstrip(t)
     a = len(x) - len(base)
@@ -284,6 +290,9 @@ def _schema_error(
     need = max(a - b, a - j)
     if schema.base_count < need:
         return f"base_count {schema.base_count} < required {need}"
+    # Members from `need` on follow by the shift, but all below base_count are
+    # checked: they are the pruner's obligations, and stopping at `need` would
+    # let it drop more witnesses and change the emitted certificates.
     i = closure.first_unrelated(schema.stem, t, schema.suffix, schema.base_count, cert.w)
     if i is not None:
         member = schema.stem + t * i + schema.suffix
@@ -331,37 +340,30 @@ class BoundedRelation:
     """Membership test for the length-bounded saturation, without building it.
 
     The bounded closure stabilizes once the bound reaches the longest seed
-    word: every merge the congruence engine performs joins two trie nodes,
-    which are no longer than the longest seed, so any congruence-equal pair
+    word: every merge folding makes on the trie of the seed words joins two
+    nodes no longer than the longest seed, so any congruence-equal pair
     (u, v) has a pair derivation whose intermediates stay within
     max(longest seed, |u|, |v|). For bounds at or above the longest seed,
     membership in the saturation of the seeds at bound L is therefore the
     congruence relation restricted to words of length <= L. Bounds below
     the longest seed are rejected with ValueError, as the saturation itself
-    rejects them; every subset `reclose` keeps then satisfies the bound too.
-    Cross-checked against the materialized saturation, `saturate` in
-    tests/oracles.py."""
+    rejects them; any subset of the seeds then satisfies the bound too.
+    Cross-checked against the materialized saturation in tests/oracles.py."""
 
-    __slots__ = ("_cong", "_bound")
+    __slots__ = ("congruence", "_bound")
 
-    def __init__(self, seeds, bound: int):
+    def __init__(self, seeds, bound: int, weighted=()):
         seeds = list(seeds)
         longest = max((max(len(p), len(q)) for p, q in seeds), default=0)
         if longest > bound:
-            raise ValueError(
-                f"closure bound {bound} is below the longest seed word ({longest})"
-            )
-        self._cong = SuffixCongruence(seeds)
+            raise ValueError(f"closure bound {bound} is below the longest seed word ({longest})")
+        self.congruence = SuffixCongruence(seeds, weighted)
         self._bound = bound
-
-    def reclose(self, keep) -> None:
-        """Restrict to the seeds at the indices in `keep`; see SuffixCongruence."""
-        self._cong.reclose(keep)
 
     def same(self, u: Word, v: Word) -> bool:
         if len(u) > self._bound or len(v) > self._bound:
             return False
-        return self._cong.same(u, v)
+        return self.congruence.same(u, v)
 
     def first_unrelated(
         self, stem: Word, t: str, suffix: Word, count: int, w: Word
@@ -374,7 +376,7 @@ class BoundedRelation:
             return None
         if len(w) > self._bound:
             return 0
-        cong = self._cong
+        cong = self.congruence
         target = cong.walk(w)
         room = self._bound - len(stem) - len(suffix)  # members past i = room are too long
         state = cong.walk(stem)
@@ -392,22 +394,20 @@ def conditions_error(cert: Certificate, closure: BoundedRelation) -> tuple[str, 
     hold. Witness verification and the slope check live elsewhere; this is
     the piece that depends on which relation seeds are available, so the
     caller builds the closure (the checker from every seed of the
-    certificate, the pruner once and then re-closed per trial).
+    certificate, the pruner from every seed once, before its trials).
     """
     w = cert.w
-    if not closure.same(w, w + "0"):
-        return "condition-1", f"{word_to_text(w)} ~ {word_to_text(w)}0 unproved"
-    if not closure.same(w, w + "1"):
-        return "condition-1", f"{word_to_text(w)} ~ {word_to_text(w)}1 unproved"
+    for ch in "01":
+        if not closure.same(w, w + ch):
+            return "condition-1", f"{word_to_text(w)} ~ {word_to_text(w)}{ch} unproved"
     for u in cert.tree[1:-1]:
         if not closure.same(u, w):
             return "condition-2", f"{word_to_text(u)} ~ {word_to_text(w)} unproved"
-    err = _schema_error(cert, cert.left_schema, closure, "left")
-    if err:
-        return "condition-3", err
-    err = _schema_error(cert, cert.right_schema, closure, "right")
-    if err:
-        return "condition-4", err
+    left, right = cert.left_schema, cert.right_schema
+    for code, side, schema in (("condition-3", "left", left), ("condition-4", "right", right)):
+        err = _schema_error(cert, schema, closure, side)
+        if err:
+            return code, err
     return None
 
 
@@ -449,7 +449,7 @@ def certify_normal_generation(
     err = _slope_error(cert, memo)
     if err:
         return _fail("slope", err)
-    return _pass()
+    return CertifyResult(True, "PASS", "")
 
 
 # --- JSON codec ---------------------------------------------------------------

@@ -177,31 +177,54 @@ def _required_depth(cert: Certificate) -> int:
     return max(len(x) for x in words) + 4
 
 
+def _obligations(cert: Certificate) -> list[Word]:
+    """w and every word `conditions_error` requires to be related to it:
+    w0, w1, the inner branches and the base members of both schemas."""
+    words = [cert.w, cert.w + "0", cert.w + "1", *cert.tree[1:-1]]
+    for sch in (cert.left_schema, cert.right_schema):
+        words.extend(sch.stem + sch.tail * i + sch.suffix for i in range(sch.base_count))
+    return words
+
+
 def _prune_witnesses(cert: Certificate) -> Certificate:
     """Greedily drop plain witnesses whose pair the rest already implies.
 
     Necessity is judged at the certificate's own depth bound, the same
-    closure the checker uses. That closure grows with its seed set, so once
+    closure the checker uses. Scanning left to right, witness i is dropped
+    iff the conditions hold on the survivors before i, every witness after
+    i and the schema pairs. That closure grows with its seed set, so once
     dropping a witness breaks a condition it stays broken for every later
-    (smaller) seed set; a single left-to-right pass therefore leaves every
-    survivor necessary. The seed trie is built once; each trial only
-    re-closes it over the trial's seeds."""
-    schema_pairs = [
-        cert.left_schema.witness.pair,
-        cert.right_schema.witness.pair,
-    ]
-    closure = BoundedRelation([x.pair for x in cert.witnesses] + schema_pairs, cert.depth)
-    n = len(cert.witnesses)
-    schema_seeds = [n, n + 1]
-    kept = list(range(n))
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        closure.reclose(trial + schema_seeds)
-        if conditions_error(cert, closure) is None:
-            kept = trial
-        else:
-            i += 1
+    (smaller) seed set, and every survivor is necessary.
+
+    The trials are decided offline on one rolled-back closure: `solve(lo, hi)`
+    starts from the survivors before lo and every witness from hi on, so each
+    seed is folded O(log W) times. If the conditions hold on every seed,
+    they hold on a subset iff w's class holds every obligation word: their
+    shapes and length bounds do not depend on the seeds."""
+    n = len(cert.witnesses)  # seeds n and n + 1 are the schema pairs
+    closure = BoundedRelation(closure_seeds(cert), cert.depth, weighted=_obligations(cert))
+    if conditions_error(cert, closure) is not None:
+        return cert  # no trial can pass on fewer seeds
+    cong = closure.congruence
+    total = cong.weight(cert.w)  # every obligation node, since all are ~ w
+    cong.rollback(0)
+    cong.add([n, n + 1])
+    kept: list[int] = []
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo == 1:
+            if cong.weight(cert.w) != total:
+                kept.append(lo)
+            return
+        mid, mark, before = (lo + hi) // 2, cong.mark(), len(kept)
+        cong.add(range(mid, hi))
+        solve(lo, mid)
+        cong.rollback(mark)
+        cong.add(kept[before:])  # the survivors in [lo, mid)
+        solve(mid, hi)
+
+    if n:
+        solve(0, n)
     return replace(cert, witnesses=tuple(cert.witnesses[k] for k in kept))
 
 

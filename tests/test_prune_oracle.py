@@ -1,15 +1,19 @@
-"""Differential tests of the closure reuse against rebuild-from-scratch references.
+"""Differential tests of the rollback closure against rebuild-from-scratch references.
 
-The greedy pruner builds one seed trie per certificate and re-closes it for
-each trial; the reference below is the earlier pruner, which builds a fresh
-closure from the trial's seeds every time. The schema check walks each base
-family once, stepping one tail letter at a time; its reference walks every
-member from the root through `same`. Both pairs must agree exactly: the same
-kept witnesses, the same verdict and the same detail text. The references
+The greedy pruner decides its trials offline, by divide and conquer on one
+closure that it rolls back, and with a counter of obligation words in w's
+class in place of a condition check per trial; the reference below is the
+earlier pruner, which builds a fresh closure from the trial's seeds and
+checks the conditions every time. The schema check walks each base family
+once, stepping one tail letter at a time; its reference walks every member
+from the root through `same`. Both pairs must agree exactly: the same kept
+witnesses, the same verdict and the same detail text. The references
 rebuild or rewalk on every step, so the properties run without a
 per-example deadline.
 """
 
+import functools
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import replace
@@ -24,8 +28,10 @@ from thompsonf.certify import (
     BoundedRelation,
     Certificate,
     ShiftSchema,
+    SuffixCongruence,
     Witness,
     _schema_error,
+    closure_seeds,
     conditions_error,
 )
 from thompsonf.cli import corpus_entries, random_nontrivial
@@ -112,7 +118,7 @@ def test_pruner_matches_reference_on_corpus(seed):
     assert len(entries) == 50 and len(calls) >= 50
 
 
-@pytest.mark.parametrize("k", [1, 6, 12, 24])
+@pytest.mark.parametrize("k", [1, 6, 12, 24, 48])
 @pytest.mark.parametrize("name", ["x0", "x0^-1"])
 def test_pruner_matches_reference_on_x0_ladder(name, k):
     f = X0 if name == "x0" else invert(X0)
@@ -138,24 +144,131 @@ def test_pruner_matches_reference_on_random_inputs(seed, c, d):
     assert calls
 
 
-# --- re-closing over a subset --------------------------------------------------
+@contextmanager
+def unpruned_certificates():
+    """Collect the certificates synthesis hands to the pruner."""
+    real = synthesis._prune_witnesses
+    seen = []
+
+    def recording(cert):
+        seen.append(cert)
+        return real(cert)
+
+    with mock.patch.object(synthesis, "_prune_witnesses", recording):
+        yield seen
+
+
+@functools.cache
+def ladder_and_corpus_certificates() -> tuple[Certificate, ...]:
+    with unpruned_certificates() as seen:
+        corpus_entries(0, 50)
+        for k in (1, 6, 12):
+            for c in (k, -k):
+                synthesize(X0, c, k)
+    return tuple(seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_obligation_counter_matches_conditions(data):
+    certs = ladder_and_corpus_certificates()
+    cert = certs[data.draw(st.integers(0, len(certs) - 1))]
+    n = len(cert.witnesses)
+    dropped = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    subset = [k for k in range(n) if k not in dropped] + [n, n + 1]  # schema pairs always in
+    seeds = closure_seeds(cert)
+    closure = BoundedRelation(seeds, cert.depth, weighted=synthesis._obligations(cert))
+    assert conditions_error(cert, closure) is None  # the counter's precondition
+    cong = closure.congruence
+    total = cong.weight(cert.w)
+    cong.rollback(0)
+    cong.add(subset)
+    counted = cong.weight(cert.w) == total
+    fresh = BoundedRelation([seeds[k] for k in subset], cert.depth)
+    assert counted == (conditions_error(cert, fresh) is None)
+
+
+def _fold_count(f, c, d) -> tuple[int, int]:
+    """Seed pairs the pruner hands to `SuffixCongruence.add` in one
+    synthesis, and the witness count of the certificate it prunes."""
+    real_prune, real_add = synthesis._prune_witnesses, SuffixCongruence.add
+    folds, widths = [0], []
+
+    def counting_add(self, indices):
+        indices = list(indices)
+        folds[0] += len(indices)
+        real_add(self, indices)
+
+    def counting_prune(cert):
+        widths.append(len(cert.witnesses))
+        with mock.patch.object(SuffixCongruence, "add", counting_add):
+            return real_prune(cert)
+
+    with mock.patch.object(synthesis, "_prune_witnesses", counting_prune):
+        synthesize(f, c, d)
+    (width,) = widths
+    return folds[0], width
+
+
+@pytest.mark.parametrize("k", [48, 200])
+def test_pruner_folds_each_seed_a_logarithmic_number_of_times(k):
+    folds, w = _fold_count(X0, k, k)
+    assert folds <= (w + 2) * (math.ceil(math.log2(w)) + 2), (folds, w)
+
+
+# --- rolling back to a subset --------------------------------------------------
 
 short_words = st.text(alphabet="01", min_size=0, max_size=5)
 seed_lists = st.lists(st.tuples(short_words, short_words), min_size=1, max_size=8)
 
 
+def _snapshot(cong: SuffixCongruence):
+    return (
+        list(cong._parent),
+        list(cong._size),
+        [dict(kids) for kids in cong._children],
+        list(cong._weight),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeds=seed_lists, data=st.data())
-def test_reclose_matches_a_fresh_closure(seeds, data):
-    keep = data.draw(st.lists(st.integers(0, len(seeds) - 1), unique=True))
-    queries = data.draw(st.lists(st.tuples(short_words, short_words), max_size=20))
-    bound = max(len(x) for pair in seeds for x in pair) + 2
-    reused = BoundedRelation(seeds, bound)
-    reused.reclose(range(len(seeds)))
-    reused.reclose(keep)
-    fresh = BoundedRelation([seeds[k] for k in keep], bound)
-    for u, v in queries + [seeds[k] for k in range(len(seeds))]:
-        assert reused.same(u, v) == fresh.same(u, v), (u, v)
+def test_rollback_matches_a_fresh_closure(seeds, data):
+    weighted = data.draw(st.lists(short_words, max_size=6))
+    queries = data.draw(st.lists(st.tuples(short_words, short_words), max_size=12))
+    queries += seeds
+    probes = weighted + [u for pair in queries for u in pair]
+    cong = SuffixCongruence(seeds, weighted)
+    added = list(range(len(seeds)))
+    marks = []  # (mark, snapshot, seeds added at the mark)
+
+    def agrees_with_fresh():
+        fresh = SuffixCongruence([seeds[k] for k in added], weighted)
+        for u, v in queries:
+            assert cong.same(u, v) == fresh.same(u, v), (u, v, added)
+        for u in probes:
+            assert cong.weight(u) == fresh.weight(u), (u, added)
+
+    agrees_with_fresh()
+    cong.rollback(0)
+    added = []
+    agrees_with_fresh()
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(("add", "mark", "rollback")))
+        if op == "add":
+            more = data.draw(st.lists(st.integers(0, len(seeds) - 1), max_size=4))
+            cong.add(more)
+            added += more
+        elif op == "mark":
+            marks.append((cong.mark(), _snapshot(cong), list(added)))
+        elif marks:
+            i = data.draw(st.integers(0, len(marks) - 1))
+            del marks[i + 1:]
+            mark, snap, at_mark = marks[i]
+            cong.rollback(mark)
+            added = list(at_mark)
+            assert _snapshot(cong) == snap
+        agrees_with_fresh()
 
 
 # --- the schema family walk ----------------------------------------------------
