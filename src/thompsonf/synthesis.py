@@ -20,8 +20,9 @@ after the four rows under [w10]:
 Rigid ends cannot prove their own one-sided branch family, so there the
 certificate's shift schema leans on a branch pair of f itself - which is
 why the boundary targets need f to have non-trivial slope at that endpoint.
-Negative c is handled by building the partner for (-c, -d) and inverting;
-c = 0 with d != 0 by mirroring everything through t -> 1 - t.
+Negative c builds the surgery for (-c, -d) and takes g as its inverse, a
+sign on every g-letter of the certificate since <f, g> = <f, g^-1>;
+c = 0 with d != 0 mirrors the (d, 0) partner of flip(f) through t -> 1 - t.
 """
 
 from __future__ import annotations
@@ -77,34 +78,17 @@ class SynthesisResult:
 # --- tree carpentry -----------------------------------------------------------
 
 
-def minimal_tree_with_branch(branch: Word) -> Tree:
-    """Branches of the smallest tree containing `branch`: the branch itself
-    plus the sibling hanging off each proper prefix."""
-    if not branch:
-        return ("",)
-    other = {"0": "1", "1": "0"}
-    leaves = [branch[:i] + other[branch[i]] for i in range(len(branch))]
-    leaves.append(branch)
-    return tuple(sorted(leaves))
-
-
 def complete_tree(required) -> Tree:
     """Smallest complete prefix code having the given pairwise-incomparable
-    words among its branches."""
-    out: list[Word] = []
-
-    def descend(prefix: Word, words: list[Word]) -> None:
-        if not words or words == [prefix]:
-            out.append(prefix)
-            return
-        if prefix in words:
-            raise AssertionError(f"comparable input words at {prefix!r}")
-        at = len(prefix)
-        descend(prefix + "0", [x for x in words if x[at] == "0"])
-        descend(prefix + "1", [x for x in words if x[at] == "1"])
-
-    descend("", sorted(set(required)))
-    return tuple(out)
+    words among its branches: every child of a proper prefix of a required
+    word, unless that child is itself such a prefix."""
+    inner = {x[:i] for x in required for i in range(len(x))}
+    clash = inner.intersection(required)
+    if clash:
+        raise AssertionError(f"comparable input words at {min(clash)!r}")
+    if not inner:
+        return ("",)
+    return tuple(sorted({p + b for p in inner for b in "01"} - inner))
 
 
 def attach_all(tree, attachments: dict[Word, Tree]) -> Tree:
@@ -132,11 +116,11 @@ def build_scaffold_tree(
     T = complete_tree([u, v + "0", v + "1", w + "0", w + "10", w + "11"])
     after = len(T) - T.index(w + "11") - 1
     if after < 3:
-        T = attach_all(T, {T[-1]: minimal_tree_with_branch("111")})
+        T = attach_all(T, {T[-1]: complete_tree(["111"])})
     if right_chain:
-        T = attach_all(T, {T[-1]: minimal_tree_with_branch("1" * right_chain)})
+        T = attach_all(T, {T[-1]: complete_tree(["1" * right_chain])})
     if left_chain:
-        T = attach_all(T, {T[0]: minimal_tree_with_branch("0" * left_chain)})
+        T = attach_all(T, {T[0]: complete_tree(["0" * left_chain])})
     k, n = T.index(w + "0") + 1, len(T)
     if not 5 <= k <= n - 5:
         raise AssertionError(f"scaffold too small around w0: {(k, n)}")
@@ -144,14 +128,6 @@ def build_scaffold_tree(
 
 
 # --- certificate assembly -----------------------------------------------------
-
-
-def _invert_g_word(word: GroupWord) -> GroupWord:
-    return tuple((name, -k if name == "g" else k) for name, k in word)
-
-
-def _invert_g_witness(wit: Witness) -> Witness:
-    return Witness(_invert_g_word(wit.word), wit.lhs, wit.rhs)
 
 
 def _flip_word(u: Word) -> Word:
@@ -164,19 +140,6 @@ def _flip_witness(wit: Witness) -> Witness:
     return Witness(wit.word, _flip_word(wit.lhs), _flip_word(wit.rhs))
 
 
-def _required_depth(cert: Certificate) -> int:
-    # Longest word named anywhere in the certificate, plus slack for the
-    # short transitivity chains the condition derivations route through.
-    words = [cert.w + "0", cert.w + "1"]
-    words.extend(cert.tree)
-    for sch in (cert.left_schema, cert.right_schema):
-        words.append(sch.stem + sch.tail * max(sch.base_count - 1, 0) + sch.suffix)
-    for x, y in closure_seeds(cert):
-        words.append(x)
-        words.append(y)
-    return max(len(x) for x in words) + 4
-
-
 def _obligations(cert: Certificate) -> list[Word]:
     """w and every word `conditions_error` requires to be related to it:
     w0, w1, the inner branches and the base members of both schemas."""
@@ -184,6 +147,14 @@ def _obligations(cert: Certificate) -> list[Word]:
     for sch in (cert.left_schema, cert.right_schema):
         words.extend(sch.stem + sch.tail * i + sch.suffix for i in range(sch.base_count))
     return words
+
+
+def _required_depth(cert: Certificate) -> int:
+    # Longest word named anywhere in the certificate, plus slack for the
+    # short transitivity chains the condition derivations route through.
+    words = [*_obligations(cert), *cert.tree]
+    words.extend(x for pair in closure_seeds(cert) for x in pair)
+    return max(map(len, words)) + 4
 
 
 def _prune_witnesses(cert: Certificate) -> Certificate:
@@ -253,37 +224,15 @@ def _certified(result: SynthesisResult) -> SynthesisResult:
     """The one check of a result, made on what is returned: g hits the
     target it is labelled with, and the emitted certificate passes.
 
-    Inversion and mirroring preserve validity, and pruning only drops
-    witnesses, so the unpruned or untransformed certificates need no check
-    of their own: a fault in any of those steps shows up here."""
+    Mirroring preserves validity, and pruning only drops witnesses, so
+    the unpruned or unmirrored certificates need no check of their own: a
+    fault in any of those steps shows up here."""
     if abelianize(result.g) != result.target:
         raise AssertionError("partner misses its abelianization target")
     check = certify_normal_generation(result.certificate)
     if not check.ok:
         raise AssertionError(f"pruned certificate rejected: {check}")
     return result
-
-
-def _invert_result(res: SynthesisResult) -> SynthesisResult:
-    """Partner for the negated target: same subgroup, inverse element.
-
-    Tree, w and schemas carry over; every witness word just swaps g for
-    g^-1, since the new g's inverse has exactly the old g's table."""
-    cert = res.certificate
-    new_cert = replace(
-        cert,
-        g=invert(res.g),
-        witnesses=tuple(_invert_g_witness(x) for x in cert.witnesses),
-        left_schema=replace(
-            cert.left_schema, witness=_invert_g_witness(cert.left_schema.witness)
-        ),
-        right_schema=replace(
-            cert.right_schema, witness=_invert_g_witness(cert.right_schema.witness)
-        ),
-        slope=SlopeWitness(_invert_g_word(cert.slope.word), cert.slope.alpha),
-    )
-    target = AbelianImage(-res.target.at_zero, -res.target.at_one)
-    return _finish(new_cert, target, res.part, res.blocks, _invert_g_word(res.block_word))
 
 
 def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
@@ -334,17 +283,20 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
 # --- the constructions --------------------------------------------------------
 
 
-def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
+def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     """The one tree-surgery layout, with a choice made at each end.
 
     An end whose coordinate is non-zero shifts along g: slope 2^c at 0,
     2^-d at 1, where d < 0 is the same surgery with domain and range
     swapped right of [w1], its shift witness carried by g^-1. An end whose
     coordinate is 0 is rigid: the scaffold grows a chain there and the
-    schema shifts along f's own tail pair instead. Negative c is built for
-    (-c, -d) and inverted."""
-    if c < 0:
-        return _invert_result(_construct(f, -c, -d, part))
+    schema shifts along f's own tail pair instead. Negative c builds the
+    surgery for (-c, -d) and takes g as its inverse: <f, g> = <f, g^-1>,
+    so the certificate is the same but for the sign of every g-letter."""
+    target = AbelianImage(c, d)
+    part = 4 - 2 * (c != 0) - (d != 0)  # 1: (c, d), 2: (c, 0), 3: (0, d), 4: (0, 0)
+    sign = -1 if c < 0 else 1
+    c, d = sign * c, sign * d
     if not d:
         tail_sign, m, ell = one_tail_pair(f)
     if not c:
@@ -360,18 +312,18 @@ def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
         left_chain=0 if c else n0,
     )
     u1, un = T[0], T[-1]
-    gword: GroupWord = (("g", 1),)
+    gword: GroupWord = (("g", sign),)
     plus = {w + "10": X1_DOMAIN}
     minus = {w + "0": CARET, w + "10": X1_RANGE}
 
     if c:
-        plus[u1] = minimal_tree_with_branch("0" * (c + 1))
-        minus[u1] = minimal_tree_with_branch("1" * c)
+        plus[u1] = complete_tree(["0" * (c + 1)])
+        minus[u1] = complete_tree(["1" * c])
         left = ShiftSchema(
             "0", u1, "1", Witness(gword, u1 + "0" * (c + 1), u1 + "0"), c + 1
         )
     else:
-        plus[u1] = minimal_tree_with_branch("11")
+        plus[u1] = complete_tree(["11"])
         minus[u1] = CARET
         left = ShiftSchema(
             "0", u1, "1",
@@ -381,15 +333,15 @@ def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
 
     dd = abs(d)
     if d:
-        right_plus = {un: minimal_tree_with_branch("1" * (dd + 1))}
-        right_minus = {w + "11": CARET, un: minimal_tree_with_branch("0" * dd)}
+        right_plus = {un: complete_tree(["1" * (dd + 1)])}
+        right_minus = {w + "11": CARET, un: complete_tree(["0" * dd])}
         right = ShiftSchema(
             "1", un, "0",
-            Witness((("g", 1 if d > 0 else -1),), un + "1" * (dd + 1), un + "1"),
+            Witness((("g", sign if d > 0 else -sign),), un + "1" * (dd + 1), un + "1"),
             dd + 1,
         )
     else:
-        right_plus = {un: minimal_tree_with_branch("00")}
+        right_plus = {un: complete_tree(["00"])}
         right_minus = {w + "11": CARET, un: CARET}
         right = ShiftSchema(
             "1", un, "0", Witness((("f", tail_sign),), "1" * m, "1" * (m - ell)), ell
@@ -417,7 +369,7 @@ def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
     witnesses.extend(Witness(gword, p, q) for p, q in flat)
     cert = Certificate(
         f=f,
-        g=from_codes(rp, rm),
+        g=from_codes(rp, rm) if sign > 0 else from_codes(rm, rp),
         tree=T,
         w=w,
         witnesses=tuple(witnesses),
@@ -431,14 +383,14 @@ def _construct(f: Element, c: int, d: int, part: int) -> SynthesisResult:
     # it only filters query lengths, and _required_depth covers every word
     # the conditions query.
     cert = replace(cert, depth=_required_depth(cert))
-    return _finish(_prune_witnesses(cert), AbelianImage(c, d), part, blocks, gword)
+    return _finish(_prune_witnesses(cert), target, part, blocks, gword)
 
 
 def construct_part1(f: Element, c: int, d: int) -> SynthesisResult:
     """Partner with image (c, d), both non-zero; works for every f != 1."""
     if c == 0 or d == 0:
         raise PreconditionViolated("interior construction needs c != 0 and d != 0")
-    return _certified(_construct(f, c, d, part=1))
+    return _certified(_construct(f, c, d))
 
 
 def construct_part2(f: Element, c: int) -> SynthesisResult:
@@ -449,7 +401,7 @@ def construct_part2(f: Element, c: int) -> SynthesisResult:
     the schema shifts along f's own tail pair 1^m -> 1^{m-l}."""
     if c == 0:
         raise PreconditionViolated("boundary construction needs c != 0")
-    return _certified(_construct(f, c, 0, part=2))
+    return _certified(_construct(f, c, 0))
 
 
 def construct_part3(f: Element, d: int) -> SynthesisResult:
@@ -458,14 +410,14 @@ def construct_part3(f: Element, d: int) -> SynthesisResult:
     Mirror image of the (d, 0) construction applied to flip(f)."""
     if d == 0:
         raise PreconditionViolated("boundary construction needs d != 0")
-    return _certified(_flip_result(_construct(flip(f), d, 0, part=2), f))
+    return _certified(_flip_result(_construct(flip(f), d, 0), f))
 
 
 def construct_part4(f: Element) -> SynthesisResult:
     """Partner inside the derived subgroup: image (0, 0); needs f of
     non-trivial slope at both endpoints. Both ends are rigid and both
     schemas shift along branch pairs of f."""
-    return _certified(_construct(f, 0, 0, part=4))
+    return _certified(_construct(f, 0, 0))
 
 
 def synthesize(f: Element, c: int, d: int) -> SynthesisResult:

@@ -6,9 +6,12 @@ returns. They stay small and obviously correct instead of fast.
 """
 
 from collections import defaultdict, deque
+from dataclasses import replace
 
+from thompsonf.certify import SlopeWitness, Witness
 from thompsonf.element import (
     IDENTITY,
+    AbelianImage,
     Element,
     GroupWord,
     abelianize,
@@ -18,6 +21,7 @@ from thompsonf.element import (
     image_of_interval,
     invert,
 )
+from thompsonf.lattice import index_of
 from thompsonf.words import Word, is_complete_prefix_code
 
 Relation = tuple[Word, Word]
@@ -120,3 +124,38 @@ def self_check_blocks(result) -> None:
         raise AssertionError("block tables do not rebuild the partner")
     if abelianize(result.g) != result.target:
         raise AssertionError("partner misses its abelianization target")
+
+
+def invert_result(res):
+    """Partner for the negated target, copied field by field: same subgroup,
+    inverse element.
+
+    Tree, w and schemas carry over; every witness word just swaps g for
+    g^-1, since the new g's inverse has exactly the old g's table."""
+
+    def inv_word(word: GroupWord) -> GroupWord:
+        return tuple((name, -k if name == "g" else k) for name, k in word)
+
+    def inv_witness(wit: Witness) -> Witness:
+        return Witness(inv_word(wit.word), wit.lhs, wit.rhs)
+
+    cert = res.certificate
+    new_cert = replace(
+        cert,
+        g=invert(res.g),
+        witnesses=tuple(inv_witness(x) for x in cert.witnesses),
+        left_schema=replace(cert.left_schema, witness=inv_witness(cert.left_schema.witness)),
+        right_schema=replace(cert.right_schema, witness=inv_witness(cert.right_schema.witness)),
+        slope=SlopeWitness(inv_word(cert.slope.word), cert.slope.alpha),
+    )
+    target = AbelianImage(-res.target.at_zero, -res.target.at_one)
+    basis = (tuple(abelianize(cert.f)), tuple(target))
+    return replace(
+        res,
+        g=new_cert.g,
+        certificate=new_cert,
+        target=target,
+        block_word=inv_word(res.block_word),
+        basis=basis,
+        index=index_of(basis),
+    )

@@ -159,6 +159,13 @@ def test_negative_targets_parse():
     assert json.loads(out)["target"] == [-2, 3]
 
 
+def test_long_branch_element_synthesizes():
+    # two branch pairs, but ~600-letter branches: no recursion per letter
+    rc, out, err = go(["synthesize", "x0^600", "--target", "1,1"])
+    assert rc == 0, err
+    assert "PASS" in out
+
+
 def test_complete_pair_and_finite_index():
     rc, out, _ = go(["complete-pair", "x0"])
     assert rc == 0

@@ -1,11 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 import thompsonf
 from thompsonf import (
@@ -26,9 +27,12 @@ from thompsonf import (
 )
 from thompsonf.dynamics import IdentityInput, PreconditionViolated
 from thompsonf import synthesis
+from thompsonf.certify import certificate_to_json
+from thompsonf.cli import random_nontrivial
 from thompsonf.lattice import INFINITE
 from thompsonf.synthesis import (
     build_scaffold_tree,
+    complete_tree,
     construct_part1,
     construct_part2,
     construct_part3,
@@ -36,7 +40,7 @@ from thompsonf.synthesis import (
 )
 
 from conftest import elements
-from oracles import self_check_blocks
+from oracles import invert_result, self_check_blocks
 
 
 # frozen run of the canonical example: partner of x0 for target (1,1)
@@ -174,6 +178,39 @@ def test_scaffold_tree_shape():
     assert len(longer) > len(tree)
     assert longer[0] == "0" * len(longer[0])
     assert longer[-1] == "1" * len(longer[-1])
+    # a single word: the word plus the sibling of each of its proper prefixes
+    assert complete_tree(["0110"]) == ("00", "010", "0110", "0111", "1")
+    assert complete_tree(["111"]) == ("0", "10", "110", "111")
+    assert complete_tree([]) == complete_tree([""]) == ("",)
+    for comparable in (["01", "011"], ["", "1"], ["10", "0", "1"]):
+        with pytest.raises(AssertionError, match="comparable"):
+            complete_tree(comparable)
+
+
+def test_long_scaffold_chain_does_not_recurse():
+    # x0^600 moves u -> v -> w along ~600-letter branches; the tree builder
+    # once recursed per letter and overflowed the interpreter stack
+    res = synthesize(power(X0, 600), 1, 1)
+    assert abelianize(res.g) == AbelianImage(1, 1)
+    assert certify_normal_generation(res.certificate).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.integers(-4, 4), d=st.integers(-4, 4))
+def test_negated_target_inverts_the_partner(seed, c, d):
+    # <f, g> = <f, g^-1>: the partner for (-c, -d) is the partner for (c, d)
+    # with the sign of every g-letter flipped, and nothing else changed
+    _, f = random_nontrivial(random.Random(seed))
+    a, b = abelianize(f)
+    assume((c, d) != (0, 0) and (c or a) and (d or b))
+    expected = invert_result(synthesize(f, c, d))
+    res = synthesize(f, -c, -d)
+    assert certificate_to_json(res.certificate) == certificate_to_json(expected.certificate)
+    assert res.g == expected.g
+    assert res.blocks == expected.blocks
+    assert res.block_word == expected.block_word
+    assert res.part == expected.part
+    assert res.target == expected.target
 
 
 def test_complete_generating_pair():
@@ -224,7 +261,8 @@ def test_witnesses_are_minimal(rng):
     ],
 )
 def test_each_result_is_certified_once(monkeypatch, build, args, part):
-    # inversion, mirroring and pruning preserve validity; only the emitted
+    # mirroring and pruning preserve validity, and the sign of a negative
+    # target is set while the certificate is built; only the emitted
     # certificate is checked, once
     calls = []
 
@@ -252,8 +290,8 @@ def test_output_guards_survive_optimized_mode():
             sys.exit("not running under -O")
         faults = {
             "_prune_witnesses": lambda real: lambda cert: replace(cert, witnesses=()),
-            "_construct": lambda real: lambda f, c, d, part: replace(
-                real(f, c, d, part), target=AbelianImage(c + 1, d)
+            "_construct": lambda real: lambda f, c, d: replace(
+                real(f, c, d), target=AbelianImage(c + 1, d)
             ),
         }
         for name, fault in faults.items():
