@@ -28,8 +28,8 @@ from .element import (
     X1,
     Element,
     GroupWord,
+    _product,
     abelianize,
-    compose,
     eval_word,
     evaluate,
     flip,
@@ -85,9 +85,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    out = IDENTITY
-    for ref in args.elements:
-        out = compose(out, resolve_element(ref))
+    out = _product([resolve_element(ref) for ref in args.elements])
     _write_or_print(format_element(out), args.out)
     return 0
 

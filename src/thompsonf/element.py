@@ -13,6 +13,7 @@ The generators:
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
@@ -313,14 +314,23 @@ def flip(f: Element) -> Element:
 GroupWord = tuple[tuple[str, int], ...]
 
 
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_group_word(text: str) -> GroupWord:
-    """Whitespace-separated tokens 'name' or 'name^k' with k a non-zero integer."""
+    """Whitespace-separated tokens 'name' or 'name^k' with k a non-zero integer.
+
+    k is ASCII digits with an optional sign: int() alone would also take
+    'x0^' as x0, other scripts' digits and underscores.
+    """
     letters: list[tuple[str, int]] = []
     for token in text.split():
-        name, _, exp_s = token.partition("^")
+        name, caret, exp_s = token.partition("^")
         if not name:
             raise ValueError(f"bad group-word token: {token!r}")
-        exp = int(exp_s) if exp_s else 1
+        if caret and not _EXPONENT.fullmatch(exp_s):
+            raise ValueError(f"bad exponent in group word: {token!r}")
+        exp = int(exp_s) if caret else 1
         if exp == 0:
             raise ValueError(f"zero exponent in group word: {token!r}")
         letters.append((name, exp))
@@ -331,14 +341,46 @@ def format_group_word(word: GroupWord) -> str:
     return " ".join(name if exp == 1 else f"{name}^{exp}" for name, exp in word)
 
 
+def _product(elements: list[Element]) -> Element:
+    """The left-to-right product, multiplied pairwise level by level.
+
+    Each level composes neighbours, [e0 e1, e2 e3, ...], so every element
+    takes part in at most ceil(log2 n) composes. Up to three elements are
+    composed in left-fold order, ((e0 e1) e2).
+    """
+    if not elements:
+        return IDENTITY
+    while len(elements) > 1:
+        paired = [compose(a, b) for a, b in zip(elements[::2], elements[1::2])]
+        if len(elements) & 1:
+            paired.append(elements[-1])
+        elements = paired
+    return elements[0]
+
+
 def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
-    out = None
+    """The element a group word names, each name standing for its assignment.
+
+    Every name is checked first, so UnknownSymbol is raised even for a letter
+    that would cancel. Adjacent letters with the same name are then folded
+    into one run on a stack: x^a x^b becomes x^(a+b), a run summing to 0 is
+    dropped and the fold cascades, so x0 x1 x1^-1 x0 gives x0^2. Each run is
+    one power, and the runs are multiplied by _product.
+
+    A product's table has at most 1 + (its factors' carets) pairs, so one
+    level of _product merges O(L) pairs, with L the sum of |k| times the
+    carets of the letter over the word's letters name^k. An n-letter word
+    takes O(L log n) pair operations, where a left fold takes O(n L).
+    """
+    runs: list[tuple[str, int]] = []
     for name, exp in word:
         if name not in assignment:
             raise UnknownSymbol(name)
-        step = power(assignment[name], exp)
-        out = step if out is None else compose(out, step)
-    return IDENTITY if out is None else out
+        if runs and runs[-1][0] == name:
+            exp += runs.pop()[1]
+        if exp:
+            runs.append((name, exp))
+    return _product([power(assignment[name], exp) for name, exp in runs])
 
 
 # --- text codec -------------------------------------------------------------

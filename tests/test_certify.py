@@ -287,6 +287,9 @@ def test_json_rejects_non_object():
         (("depth",), "12"),
         (("f",), {"domain": "e", "range": "e"}),
         (("tree",), lambda doc: "".join(doc["tree"])),
+        (("witnesses", 0, "word"), "g^"),
+        (("witnesses", 0, "word"), "g^\u0661"),
+        (("slope", "word"), "f^1_0"),
     ],
 )
 def test_json_decoding_is_strict(good, path, value):

@@ -209,6 +209,15 @@ def test_usage_errors_exit_2():
     assert go([])[0] == 2
 
 
+def test_lax_exponents_are_usage_errors():
+    # int() would read these as x0, x0^3 and x0^10
+    for word in ("x0^", "x0^\u0663", "x0^1_0"):
+        rc, out, err = go(["parse", word])
+        assert (rc, out) == (2, "")
+        assert "bad exponent" in err
+    assert go(["parse", "x0^+2 x0^-1"]) == go(["parse", "x0"])
+
+
 def test_internal_errors_exit_3(monkeypatch):
     # a pruner that drops every witness makes synthesis refuse its own output
     monkeypatch.setattr(synthesis, "_prune_witnesses", lambda cert: replace(cert, witnesses=()))

@@ -1,12 +1,16 @@
 """Differential tests of the element core against slow reference versions.
 
 The references are the original table-rescanning implementations: compose
-over the union of both codes' trees, with a whole-table scan per leaf, and a
-linear scan for the branch that contains a point. They are kept here as
-oracles for the merge-based compose, the squaring power and the bisect
-locator. The references are quadratic, so the properties run without a
+over the union of both codes' trees, with a whole-table scan per leaf, a
+linear scan for the branch that contains a point, and a group word evaluated
+as a left fold, one letter at a time. They are kept here as oracles for the
+merge-based compose, the squaring power, the bisect locator and the balanced
+word product. The references are quadratic, so the properties run without a
 per-example deadline.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +21,10 @@ from thompsonf import (
     X1,
     Element,
     InvalidCode,
+    UnknownSymbol,
     common_refinement,
     compose,
+    eval_word,
     evaluate,
     image_of_interval,
     invert,
@@ -26,6 +32,7 @@ from thompsonf import (
     slope_left,
     slope_right,
 )
+from thompsonf import element
 from thompsonf.element import _reduce_pairs
 from thompsonf.words import Dyadic, word_to_dyadic
 
@@ -79,6 +86,16 @@ def reference_word(letters) -> Element:
     return out
 
 
+def reference_eval_word(word, assignment) -> Element:
+    out = None
+    for name, exp in word:
+        if name not in assignment:
+            raise UnknownSymbol(name)
+        step = power(assignment[name], exp)
+        out = step if out is None else compose(out, step)
+    return IDENTITY if out is None else out
+
+
 def _scan_branch(f: Element, stem: str, tail: str) -> tuple[str, str]:
     for u, v in f.pairs:
         if stem.startswith(u):
@@ -128,6 +145,27 @@ letters = st.lists(
     st.tuples(st.sampled_from((X0, X1)), st.sampled_from((1, -1))), max_size=15
 )
 reference_elements = letters.map(reference_word)
+GENS = {"x0": X0, "x1": X1, "id": IDENTITY}
+gen_names = st.sampled_from(tuple(GENS))
+gen_letters = st.tuples(gen_names, st.sampled_from((1, -1, 2, -2, 3)))
+# leaves are single letters, cancelling neighbours x^a x^-a and zero-sum runs
+# x^a x^b x^-(a+b); branches concatenate, or conjugate a word by a letter so
+# that folding the middle away cascades into the letters around it
+word_leaves = st.one_of(
+    gen_letters.map(lambda t: [t]),
+    gen_letters.map(lambda t: [t, (t[0], -t[1])]),
+    st.tuples(gen_names, st.integers(1, 2), st.integers(1, 2)).map(
+        lambda t: [(t[0], t[1]), (t[0], t[2]), (t[0], -t[1] - t[2])]
+    ),
+)
+rich_group_words = st.recursive(
+    word_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map(lambda ws: [x for w in ws for x in w]),
+        st.tuples(gen_letters, inner).map(lambda t: [t[0], *t[1], (t[0][0], -t[0][1])]),
+    ),
+    max_leaves=25,
+).map(lambda w: tuple(w[:60]))
 points = st.integers(0, 14).flatmap(
     lambda e: st.tuples(st.integers(0, 2 ** e), st.just(e))
 ).map(lambda a: Dyadic(*a))
@@ -192,3 +230,44 @@ def test_locator_matches_scan_at_points(f, t):
 @given(reference_elements, st.text(alphabet="01", max_size=10))
 def test_locator_matches_scan_on_intervals(f, u):
     assert image_of_interval(f, u) == scan_image_of_interval(f, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rich_group_words)
+def test_eval_word_matches_left_fold(word):
+    assert eval_word(word, GENS).pairs == reference_eval_word(word, GENS).pairs
+
+
+def test_eval_word_edge_cases():
+    assert eval_word((), GENS) == IDENTITY
+    with pytest.raises(UnknownSymbol):
+        eval_word((("y", 1), ("y", -1)), {"x0": X0, "x1": X1})
+    assert eval_word((("x0", 1), ("x0", -1), ("x1", 1)), GENS).pairs == X1.pairs
+
+
+def _merged_pairs(monkeypatch, evaluate_word) -> int:
+    total = 0
+    merge = element._merge
+
+    def counting_merge(fp, gp):
+        nonlocal total
+        total += len(fp) + len(gp)
+        return merge(fp, gp)
+
+    monkeypatch.setattr(element, "_merge", counting_merge)
+    evaluate_word()
+    monkeypatch.undo()
+    return total
+
+
+def test_eval_word_merges_n_log_n_pairs(monkeypatch):
+    # carets(x1) = 3, and each piece of a level adds one pair to the merge
+    # input, so a level merges at most 4n pairs, over ceil(log2 n) levels
+    n = 4000
+    rng = random.Random(20240817)
+    word = tuple((rng.choice(("x0", "x1")), rng.choice((1, -1))) for _ in range(n))
+    bound = 4 * n * math.ceil(math.log2(n))
+    balanced = _merged_pairs(monkeypatch, lambda: eval_word(word, GENS))
+    left_fold = _merged_pairs(monkeypatch, lambda: reference_eval_word(word, GENS))
+    assert balanced <= bound
+    assert left_fold > bound
