@@ -133,29 +133,58 @@ class SuffixCongruence:
     nodes change no answer, as folding on any prefix-closed trie holding the
     added seed words decides the same congruence; so `weighted` words are
     materialized too, each distinct node of weight 1 that `weight` counts.
+
+    Layout: every table is a flat int list indexed by node, node 0 being the
+    empty word. Node n's children are `_kids[2n]` and `_kids[2n + 1]`, for
+    the letters 0 and 1, with -1 for none; a class root's two slots hold a
+    node of each child class its members have. One undo-log entry is one
+    int: the merged root times 4, plus 1 if the fold filled its new root's
+    0-slot and 2 if it filled the 1-slot. That root is `_parent[merged]`
+    until the fold is undone. The build maps every materialized prefix to
+    its node in a dict local to `__init__`, so each word is read only past
+    its longest prefix already in the trie.
     """
 
-    __slots__ = ("_pairs", "_parent", "_size", "_weight", "_children", "_log")
+    __slots__ = ("_pairs", "_parent", "_size", "_weight", "_kids", "_log")
 
     def __init__(self, seeds, weighted=()):
-        self._children: list[dict[str, int]] = [{}]  # trie; roots gain folded keys
-        self._pairs = [(self._node(u), self._node(v)) for u, v in seeds]
-        heavy = {self._node(x) for x in weighted}
-        self._parent = list(range(len(self._children)))
-        self._size = [1] * len(self._parent)
-        self._weight = [int(i in heavy) for i in range(len(self._parent))]
-        self._log: list[tuple[int, int, list[str]]] = []  # (root, merged, keys)
-        self.add(range(len(self._pairs)))
+        kids = self._kids = [-1, -1]
+        nodes = {"": 0}  # materialized prefix -> node
 
-    def _node(self, word: Word) -> int:
-        children, cur = self._children, 0
-        for ch in word:
-            nxt = children[cur].get(ch)
-            if nxt is None:
-                nxt = children[cur][ch] = len(children)
-                children.append({})
-            cur = nxt
-        return cur
+        def node(word: Word) -> int:
+            cur = nodes.get(word)
+            if cur is not None:
+                return cur
+            # The trie's prefixes are closed under shortening: step back from
+            # the end in doubling strides, then bisect the last stride.
+            hi, lo, step = len(word), len(word) - 1, 1  # word[:hi] is new
+            while word[:lo] not in nodes:
+                hi, step = lo, 2 * step
+                lo = hi - step if hi > step else 0
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if word[:mid] in nodes:
+                    lo = mid
+                else:
+                    hi = mid
+            cur = nodes[word[:lo]]
+            for i in range(lo, len(word)):
+                new = len(nodes)
+                kids[2 * cur + (word[i] == "1")] = new
+                kids.extend((-1, -1))
+                cur = nodes[word[: i + 1]] = new
+            return cur
+
+        self._pairs = [(node(u), node(v)) for u, v in seeds]
+        heavy = {node(x) for x in weighted}
+        n = len(nodes)
+        self._parent = list(range(n))
+        self._size = [1] * n
+        self._weight = [0] * n
+        for i in heavy:
+            self._weight[i] = 1
+        self._log: list[int] = []
+        self.add(range(len(self._pairs)))
 
     def _find(self, i: int) -> int:
         parent = self._parent
@@ -166,28 +195,38 @@ class SuffixCongruence:
     def add(self, indices) -> None:
         """Fold the seed pairs at the given indices into the closure."""
         parent, size, weight = self._parent, self._size, self._weight
-        children, log, find = self._children, self._log, self._find
-        stack = [self._pairs[k] for k in indices]
+        kids, log, pairs = self._kids, self._log, self._pairs
+        stack = [pairs[k] for k in indices]
+        pop, push, record = stack.pop, stack.append, log.append
         while stack:
-            a, b = stack.pop()
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            a, b = pop()
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
                 continue
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-            weight[ra] += weight[rb]
-            into = children[ra]
-            keys = []
-            for ch, node in children[rb].items():
-                other = into.get(ch)
-                if other is None:
-                    into[ch] = node
-                    keys.append(ch)
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            weight[a] += weight[b]
+            i, j, entry = 2 * a, 2 * b, 4 * b
+            child = kids[j]
+            if child >= 0:
+                if kids[i] < 0:
+                    kids[i] = child
+                    entry += 1
                 else:
-                    stack.append((other, node))
-            log.append((ra, rb, keys))
+                    push((kids[i], child))
+            child = kids[j + 1]
+            if child >= 0:
+                if kids[i + 1] < 0:
+                    kids[i + 1] = child
+                    entry += 2
+                else:
+                    push((kids[i + 1], child))
+            record(entry)
 
     def mark(self) -> int:
         """The point `rollback` returns to: the folds made so far."""
@@ -196,14 +235,18 @@ class SuffixCongruence:
     def rollback(self, mark: int) -> None:
         """Undo every fold made since `mark`, newest first."""
         parent, size, weight = self._parent, self._size, self._weight
-        children, log = self._children, self._log
-        while len(log) > mark:
-            ra, rb, keys = log.pop()
-            for ch in keys:
-                del children[ra][ch]
-            parent[rb] = rb
-            size[ra] -= size[rb]
-            weight[ra] -= weight[rb]
+        kids, log = self._kids, self._log
+        for entry in reversed(log[mark:]):
+            b = entry >> 2
+            a = parent[b]
+            if entry & 1:
+                kids[2 * a] = -1
+            if entry & 2:
+                kids[2 * a + 1] = -1
+            parent[b] = b
+            size[a] -= size[b]
+            weight[a] -= weight[b]
+        del log[mark:]
 
     def weight(self, word: Word) -> int:
         """How many weighted nodes the class of `word` holds."""
@@ -220,12 +263,14 @@ class SuffixCongruence:
         cur, rest = (self._find(0), "") if state is None else state
         if rest:
             return cur, rest + word
-        children, find = self._children, self._find
+        kids, parent = self._kids, self._parent
         for i, ch in enumerate(word):
-            nxt = children[cur].get(ch)
-            if nxt is None:
+            nxt = kids[2 * cur + (ch == "1")]
+            if nxt < 0:
                 return cur, word[i:]
-            cur = find(nxt)
+            while parent[nxt] != nxt:
+                nxt = parent[nxt]
+            cur = nxt
         return cur, ""
 
     def same(self, u: Word, v: Word) -> bool:
@@ -550,9 +595,16 @@ def _element_from_obj(obj, where: str) -> Element:
 
 
 def _group_word_from_obj(text) -> GroupWord:
+    """The group word `text` spells, which must be its canonical spelling:
+    the one `format_group_word` gives back, so a certificate that decodes
+    re-encodes to the same text."""
     if not isinstance(text, str):
         raise TypeError(f"group word must be a string, got {text!r}")
     word = parse_group_word(text)
+    if format_group_word(word) != text:
+        raise ValueError(
+            f"group word {text!r} is not canonical (expected {format_group_word(word)!r})"
+        )
     for name, _ in word:
         if name not in ("f", "g"):
             raise ValueError(f"unknown symbol {name!r} in group word {text!r}")

@@ -3,6 +3,8 @@
 None of these is used by the package itself: the checker decides the
 closure with `SuffixCongruence`, and synthesis certifies the result it
 returns. They stay small and obviously correct instead of fast.
+`ReferenceCongruence` is the closure engine with one child dict per trie
+node, which the flat, prefix-indexed `SuffixCongruence` replaced.
 """
 
 from collections import defaultdict, deque
@@ -62,6 +64,100 @@ def saturate(seeds, L: int) -> frozenset[Relation]:
         for z in adj[u]:
             queue.append(relation(z, v))
     return frozenset(rels)
+
+
+class ReferenceCongruence:
+    """The rollback closure with a dict of children per trie node.
+
+    Same surface and same partition as `SuffixCongruence`: the trie of every
+    seed and weighted word, built one letter at a time from the root, folds
+    logged as (root, merged, child keys the root gained), union by size and
+    no path compression.
+    """
+
+    def __init__(self, seeds, weighted=()):
+        self._children: list[dict[str, int]] = [{}]  # trie; roots gain folded keys
+        self._pairs = [(self._node(u), self._node(v)) for u, v in seeds]
+        heavy = {self._node(x) for x in weighted}
+        self._parent = list(range(len(self._children)))
+        self._size = [1] * len(self._parent)
+        self._weight = [int(i in heavy) for i in range(len(self._parent))]
+        self._log: list[tuple[int, int, list[str]]] = []  # (root, merged, keys)
+        self.add(range(len(self._pairs)))
+
+    def _node(self, word: Word) -> int:
+        children, cur = self._children, 0
+        for ch in word:
+            nxt = children[cur].get(ch)
+            if nxt is None:
+                nxt = children[cur][ch] = len(children)
+                children.append({})
+            cur = nxt
+        return cur
+
+    def _find(self, i: int) -> int:
+        parent = self._parent
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def add(self, indices) -> None:
+        parent, size, weight = self._parent, self._size, self._weight
+        children, log, find = self._children, self._log, self._find
+        stack = [self._pairs[k] for k in indices]
+        while stack:
+            a, b = stack.pop()
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+            weight[ra] += weight[rb]
+            into = children[ra]
+            keys = []
+            for ch, node in children[rb].items():
+                other = into.get(ch)
+                if other is None:
+                    into[ch] = node
+                    keys.append(ch)
+                else:
+                    stack.append((other, node))
+            log.append((ra, rb, keys))
+
+    def mark(self) -> int:
+        return len(self._log)
+
+    def rollback(self, mark: int) -> None:
+        parent, size, weight = self._parent, self._size, self._weight
+        children, log = self._children, self._log
+        while len(log) > mark:
+            ra, rb, keys = log.pop()
+            for ch in keys:
+                del children[ra][ch]
+            parent[rb] = rb
+            size[ra] -= size[rb]
+            weight[ra] -= weight[rb]
+
+    def weight(self, word: Word) -> int:
+        cur, rest = self.walk(word)
+        return 0 if rest else self._weight[cur]
+
+    def walk(self, word: Word, state: tuple[int, Word] | None = None) -> tuple[int, Word]:
+        cur, rest = (self._find(0), "") if state is None else state
+        if rest:
+            return cur, rest + word
+        children, find = self._children, self._find
+        for i, ch in enumerate(word):
+            nxt = children[cur].get(ch)
+            if nxt is None:
+                return cur, word[i:]
+            cur = find(nxt)
+        return cur, ""
+
+    def same(self, u: Word, v: Word) -> bool:
+        return self.walk(u) == self.walk(v)
 
 
 def enumerate_ball(f: Element, g: Element, word_len: int):

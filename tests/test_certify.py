@@ -290,6 +290,11 @@ def test_json_rejects_non_object():
         (("witnesses", 0, "word"), "g^"),
         (("witnesses", 0, "word"), "g^\u0661"),
         (("slope", "word"), "f^1_0"),
+        (("witnesses", 0, "word"), "f^1"),
+        (("witnesses", 0, "word"), "f^+1"),
+        (("slope", "word"), "f^01"),
+        (("witnesses", 0, "word"), " f"),
+        (("slope", "word"), "f  "),
     ],
 )
 def test_json_decoding_is_strict(good, path, value):

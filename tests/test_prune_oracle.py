@@ -226,8 +226,9 @@ def _snapshot(cong: SuffixCongruence):
     return (
         list(cong._parent),
         list(cong._size),
-        [dict(kids) for kids in cong._children],
+        list(cong._kids),
         list(cong._weight),
+        list(cong._log),
     )
 
 
