@@ -118,6 +118,26 @@ def _fail(code: str, detail: str) -> CertifyResult:
 # --- closure engine ----------------------------------------------------------
 
 
+def _common_prefix(a: Word, b: Word) -> int:
+    """The length of the longest common prefix of a and b.
+
+    Steps back from the end of the shorter word in doubling strides, then
+    bisects the last stride: O(log d) slice comparisons, d being how far
+    the common prefix ends before the shorter word does. Sorted neighbours
+    in a closure's trie mostly have d <= 1."""
+    hi = lo = min(len(a), len(b))
+    step = 1
+    while not b.startswith(a[:lo]):  # the common prefix is shorter than lo
+        hi, lo, step = lo - 1, max(lo - step, 0), 2 * step
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 class SuffixCongruence:
     """Smallest right congruence on binary words containing the seed pairs.
 
@@ -140,44 +160,36 @@ class SuffixCongruence:
     node of each child class its members have. One undo-log entry is one
     int: the merged root times 4, plus 1 if the fold filled its new root's
     0-slot and 2 if it filled the 1-slot. That root is `_parent[merged]`
-    until the fold is undone. The build maps every materialized prefix to
-    its node in a dict local to `__init__`, so each word is read only past
-    its longest prefix already in the trie.
+    until the fold is undone. The build inserts the distinct words in
+    sorted order, each from the end of its common prefix with the word
+    before it, along that word's path of nodes; so one step is taken per
+    node, and it keeps no string but the words themselves.
     """
 
     __slots__ = ("_pairs", "_parent", "_size", "_weight", "_kids", "_log")
 
     def __init__(self, seeds, weighted=()):
+        seeds, weighted = list(seeds), list(weighted)
         kids = self._kids = [-1, -1]
-        nodes = {"": 0}  # materialized prefix -> node
-
-        def node(word: Word) -> int:
-            cur = nodes.get(word)
-            if cur is not None:
-                return cur
-            # The trie's prefixes are closed under shortening: step back from
-            # the end in doubling strides, then bisect the last stride.
-            hi, lo, step = len(word), len(word) - 1, 1  # word[:hi] is new
-            while word[:lo] not in nodes:
-                hi, step = lo, 2 * step
-                lo = hi - step if hi > step else 0
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if word[:mid] in nodes:
-                    lo = mid
-                else:
-                    hi = mid
-            cur = nodes[word[:lo]]
-            for i in range(lo, len(word)):
-                new = len(nodes)
-                kids[2 * cur + (word[i] == "1")] = new
+        node = {}  # distinct word -> its node
+        path, prev = [0], ""  # path[i]: the node of prev[:i]
+        for word in sorted({w for pair in seeds for w in pair}.union(weighted)):
+            # In sorted order, the prefixes of word in the trie are exactly
+            # those it shares with the word before it.
+            i = _common_prefix(prev, word)
+            del path[i + 1:]
+            cur = path[i]
+            for ch in word[i:]:
+                new = len(kids) >> 1
+                kids[2 * cur + (ch == "1")] = new
                 kids.extend((-1, -1))
-                cur = nodes[word[: i + 1]] = new
-            return cur
-
-        self._pairs = [(node(u), node(v)) for u, v in seeds]
-        heavy = {node(x) for x in weighted}
-        n = len(nodes)
+                path.append(new)
+                cur = new
+            node[word] = cur
+            prev = word
+        self._pairs = [(node[u], node[v]) for u, v in seeds]
+        heavy = {node[x] for x in weighted}
+        n = len(kids) >> 1
         self._parent = list(range(n))
         self._size = [1] * n
         self._weight = [0] * n
@@ -197,9 +209,8 @@ class SuffixCongruence:
         parent, size, weight = self._parent, self._size, self._weight
         kids, log, pairs = self._kids, self._log, self._pairs
         stack = [pairs[k] for k in indices]
-        pop, push, record = stack.pop, stack.append, log.append
         while stack:
-            a, b = pop()
+            a, b = stack.pop()
             while parent[a] != a:
                 a = parent[a]
             while parent[b] != b:
@@ -218,15 +229,15 @@ class SuffixCongruence:
                     kids[i] = child
                     entry += 1
                 else:
-                    push((kids[i], child))
+                    stack.append((kids[i], child))
             child = kids[j + 1]
             if child >= 0:
                 if kids[i + 1] < 0:
                     kids[i + 1] = child
                     entry += 2
                 else:
-                    push((kids[i + 1], child))
-            record(entry)
+                    stack.append((kids[i + 1], child))
+            log.append(entry)
 
     def mark(self) -> int:
         """The point `rollback` returns to: the folds made so far."""

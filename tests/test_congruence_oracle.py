@@ -1,15 +1,16 @@
 """The flat closure engine against the dict-per-node reference, and its trie shape.
 
 `SuffixCongruence` keeps its trie in one flat child list, logs each fold as
-one int and builds the trie through a prefix index. `ReferenceCongruence`
-(tests/oracles.py) is the engine it replaced: one child dict per node,
-built one letter at a time. Both see the same operations, and after each
+one int and builds the trie from its words in sorted order.
+`ReferenceCongruence` (tests/oracles.py) is the engine it replaced: one
+child dict per node, built one letter at a time. Both see the same operations, and after each
 one they must decide the same partition: `same` on every query pair,
 `weight` on every probe and the same `mark` (a fold joins two classes, so
 the number of folds is fixed by the partition).
 """
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -161,3 +162,21 @@ def test_one_node_per_distinct_prefix(seeds, weighted):
 def test_one_node_per_distinct_prefix_on_pruner_input(name):
     for seeds, weighted in _pruner_inputs(*PRUNER_CASES[name]):
         assert_one_node_per_prefix(seeds, weighted)
+
+
+def test_build_memory_is_linear_in_the_seed_letters():
+    """A certificate may carry one witness pair of long words, such as
+    00 1^D -> 0 1^D (a branch pair of x0). Building its closure must take
+    memory linear in D: a build that kept a string per trie prefix would
+    hold about D^2 letters."""
+    D = 100_000
+    u, v = "00" + "1" * D, "0" + "1" * D
+    tracemalloc.start()
+    try:
+        cong = SuffixCongruence([(u, v)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cong._parent) == 2 * D + 3  # "", 0, 00 1^i for i <= D, 0 1^i for 1 <= i <= D
+    assert peak < 400 * D, peak
+    assert cong.same(u + "01", v + "01") and not cong.same(u, "00")
