@@ -19,6 +19,7 @@ FAIL is a value carrying a machine-readable reason code, never an exception.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +43,7 @@ from .words import (
     word_from_text,
     word_to_dyadic,
     word_to_text,
+    words_from_texts,
 )
 
 Relation = tuple[Word, Word]
@@ -166,12 +168,12 @@ class SuffixCongruence:
     node, and it keeps no string but the words themselves.
     """
 
-    __slots__ = ("_pairs", "_parent", "_size", "_weight", "_kids", "_log")
+    __slots__ = ("_node", "_pairs", "_parent", "_size", "_weight", "_kids", "_log")
 
     def __init__(self, seeds, weighted=()):
         seeds, weighted = list(seeds), list(weighted)
         kids = self._kids = [-1, -1]
-        node = {}  # distinct word -> its node
+        node = self._node = {}  # distinct word -> its node, kept for queries
         path, prev = [0], ""  # path[i]: the node of prev[:i]
         for word in sorted({w for pair in seeds for w in pair}.union(weighted)):
             # In sorted order, the prefixes of word in the trie are exactly
@@ -270,7 +272,11 @@ class SuffixCongruence:
         The default state is the empty word's, so two words are congruent
         iff their walks agree. Reading `x` from the walk of `p` gives the
         walk of `p + x`: once a walk leaves the materialized classes, the
-        rest of the word just accumulates."""
+        rest of the word just accumulates. A word the build inserted is not
+        read: on the closed partition its class is its node's root."""
+        i = self._node.get(word) if state is None else None
+        if i is not None:
+            return self._find(i), ""
         cur, rest = (self._find(0), "") if state is None else state
         if rest:
             return cur, rest + word
@@ -317,6 +323,12 @@ def _all_witnesses(cert: Certificate) -> list[Witness]:
         cert.left_schema.witness,
         cert.right_schema.witness,
     ]
+
+
+def queried_words(cert: Certificate) -> list[Word]:
+    """w and the words conditions 1 and 2 relate to it: w0, w1 and the
+    inner branches. The certificate spells each of them out."""
+    return [cert.w, cert.w + "0", cert.w + "1", *cert.tree[1:-1]]
 
 
 def closure_seeds(cert: Certificate) -> list[Relation]:
@@ -495,7 +507,8 @@ def certify_normal_generation(
             )
     effective = cert.depth if bound is None else bound
     try:
-        closure = BoundedRelation(closure_seeds(cert), effective)
+        # not the schema members: there are base_count of them, an untrusted number
+        closure = BoundedRelation(closure_seeds(cert), effective, queried_words(cert))
     except ValueError as exc:
         return _fail("invalid-certificate", str(exc))
     violated = conditions_error(cert, closure)
@@ -563,8 +576,48 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+# json.dumps(..., indent=2) runs CPython's pure-Python encoder, one call per
+# value; certificate_to_json fills the same fixed layout in a few C calls.
+_str = json.encoder.encode_basestring_ascii
+_WITNESS = '{\n      "word": %s,\n      "lhs": %s,\n      "rhs": %s\n    }'
+
+
+def _array_json(items: list[str], pad: str) -> str:
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[2:]}]" if items else "[]"
+
+
+def _words_json(words, pad: str = " " * 6) -> str:
+    return _array_json([_str(word_to_text(u)) for u in words], pad)
+
+
+def _witness_json(wit: Witness) -> str:
+    lhs, rhs = _str(word_to_text(wit.lhs)), _str(word_to_text(wit.rhs))
+    return _WITNESS % (_str(format_group_word(wit.word)), lhs, rhs)
+
+
+def _schema_json(s: ShiftSchema) -> str:
+    return (
+        '{\n    "tail": %s,\n    "stem": %s,\n    "suffix": %s,\n    "base_count": %s,\n'
+        '    "witness": %s\n  }'
+    ) % (_str(s.tail), _str(word_to_text(s.stem)), _str(word_to_text(s.suffix)),
+         json.dumps(s.base_count), _witness_json(s.witness))
+
+
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    """json.dumps(certificate_to_dict(cert), indent=2) + "\\n", byte for byte."""
+    return (
+        '{\n  "format": %s,\n  "f": {\n    "domain": %s,\n    "range": %s\n  },\n'
+        '  "g": {\n    "domain": %s,\n    "range": %s\n  },\n  "tree": %s,\n  "w": %s,\n'
+        '  "witnesses": %s,\n  "left_schema": %s,\n  "right_schema": %s,\n'
+        '  "slope": {\n    "word": %s,\n    "alpha": %s\n  },\n  "depth": %s\n}\n'
+    ) % (
+        _str(FORMAT_TAG), _words_json(cert.f.domain), _words_json(cert.f.range),
+        _words_json(cert.g.domain), _words_json(cert.g.range), _words_json(cert.tree, " " * 4),
+        _str(word_to_text(cert.w)), _array_json(list(map(_witness_json, cert.witnesses)), " " * 4),
+        _schema_json(cert.left_schema), _schema_json(cert.right_schema),
+        _str(format_group_word(cert.slope.word)), _str(word_to_text(cert.slope.alpha)),
+        json.dumps(cert.depth),
+    )
 
 
 def _field(obj, key: str, where: str = ""):
@@ -594,8 +647,8 @@ def _int_field(obj, key: str, where: str = "") -> int:
 
 def _element_from_obj(obj, where: str) -> Element:
     try:
-        domain = [word_from_text(t) for t in _list_field(obj, "domain", where)]
-        rng = [word_from_text(t) for t in _list_field(obj, "range", where)]
+        domain = words_from_texts(_list_field(obj, "domain", where))
+        rng = words_from_texts(_list_field(obj, "range", where))
         return from_codes(domain, rng)
     except CertificateFormatError:
         raise
@@ -611,6 +664,11 @@ def _group_word_from_obj(text) -> GroupWord:
     re-encodes to the same text."""
     if not isinstance(text, str):
         raise TypeError(f"group word must be a string, got {text!r}")
+    return _canonical_group_word(text)
+
+
+@functools.lru_cache(maxsize=256)  # a failure raises, and is not cached
+def _canonical_group_word(text: str) -> GroupWord:
     word = parse_group_word(text)
     if format_group_word(word) != text:
         raise ValueError(
@@ -633,6 +691,18 @@ def _witness_from_obj(obj, where: str) -> Witness:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError("invalid-certificate", f"{where}: {exc}") from exc
+
+
+def _witnesses_from_objs(objs: list) -> tuple[Witness, ...]:
+    try:  # one pass per field; on any fault, decode witness by witness
+        return tuple(map(
+            Witness,
+            [_group_word_from_obj(obj["word"]) for obj in objs],
+            words_from_texts([obj["lhs"] for obj in objs]),
+            words_from_texts([obj["rhs"] for obj in objs]),
+        ))
+    except (KeyError, TypeError, ValueError):  # raised again below, located
+        return tuple(_witness_from_obj(obj, f"witnesses[{i}]") for i, obj in enumerate(objs))
 
 
 def _schema_from_obj(obj, where: str) -> ShiftSchema:
@@ -662,12 +732,9 @@ def certificate_from_dict(obj) -> Certificate:
         # keyword order is decoding order: it fixes which fault a
         # certificate with several is reported for
         return Certificate(
-            tree=tuple(word_from_text(t) for t in _list_field(obj, "tree")),
+            tree=tuple(words_from_texts(_list_field(obj, "tree"))),
             w=word_from_text(_field(obj, "w")),
-            witnesses=tuple(
-                _witness_from_obj(o, f"witnesses[{i}]")
-                for i, o in enumerate(_list_field(obj, "witnesses"))
-            ),
+            witnesses=_witnesses_from_objs(_list_field(obj, "witnesses")),
             slope=SlopeWitness(
                 word=_group_word_from_obj(_field(_field(obj, "slope"), "word", "slope")),
                 alpha=word_from_text(_field(_field(obj, "slope"), "alpha", "slope")),
@@ -687,6 +754,7 @@ def certificate_from_dict(obj) -> Certificate:
 def certificate_from_json(text: str) -> Certificate:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError or an integer past the digit limit
         raise CertificateFormatError("invalid-certificate", f"bad JSON: {exc}") from exc
     return certificate_from_dict(obj)

@@ -38,6 +38,7 @@ from .certify import (
     certify_normal_generation,
     closure_seeds,
     conditions_error,
+    queried_words,
 )
 from .dynamics import IdentityInput, PreconditionViolated, find_uvw, one_tail_pair, zero_tail_pair
 from .element import (
@@ -142,8 +143,8 @@ def _flip_witness(wit: Witness) -> Witness:
 
 def _obligations(cert: Certificate) -> list[Word]:
     """w and every word `conditions_error` requires to be related to it:
-    w0, w1, the inner branches and the base members of both schemas."""
-    words = [cert.w, cert.w + "0", cert.w + "1", *cert.tree[1:-1]]
+    the checker's queried words and the base members of both schemas."""
+    words = queried_words(cert)
     for sch in (cert.left_schema, cert.right_schema):
         words.extend(sch.stem + sch.tail * i + sch.suffix for i in range(sch.base_count))
     return words

@@ -11,6 +11,7 @@ No floating point anywhere: dyadics are normalized integer pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 Word = str
@@ -26,6 +27,10 @@ def check_word(u: Word) -> Word:
     return u
 
 
+def _is_binary(text: str) -> bool:
+    return text.count("0") + text.count("1") == len(text)  # two C scans
+
+
 def word_to_text(u: Word) -> str:
     """Render a word; the empty word prints as 'e'."""
     return u if u else "e"
@@ -37,6 +42,18 @@ def word_from_text(text: str) -> Word:
     if text == "e":
         return EMPTY
     return check_word(text)
+
+
+def words_from_texts(texts: list) -> list[Word]:
+    """[word_from_text(t) for t in texts], checked in one C pass when every
+    text is a binary word; else the per-text loop raises the first fault."""
+    words = ["" if t == "e" else t for t in texts]
+    try:
+        if _is_binary("".join(words)):
+            return words
+    except TypeError:
+        pass
+    return [word_from_text(t) for t in texts]
 
 
 def is_prefix(u: Word, v: Word) -> bool:
@@ -168,22 +185,19 @@ def parse_dyadic(text: str) -> Dyadic:
 def is_complete_prefix_code(branches) -> bool:
     """True iff branches are the left-to-right leaf list of a full binary tree.
 
-    Equivalent characterization used here: words are in strictly increasing
-    lexicographic order, pairwise incomparable, and the interval lengths sum
-    to 1 with consecutive intervals abutting. A single scan with exact
-    endpoint arithmetic covers all of it.
+    Equivalent characterization used here: binary words in lexicographic
+    order (interval order, for incomparable words), none a prefix of the
+    next (in sorted order a word's extensions follow it directly), whose
+    interval lengths 2^-|u| sum to 1. Each pass but the sum is one C loop;
+    tests/oracles.py keeps the endpoint scan as a reference.
     """
     branches = list(branches)
-    if not branches:
+    if not branches or not _is_binary("".join(branches)):
         return False
-    pos_num, pos_exp = 0, 0  # running left endpoint as num/2^exp, unnormalized
-    for u in branches:
-        if not _ALPHABET.issuperset(u):
-            return False
-        # left endpoint of [u] must equal the running position
-        e = max(pos_exp, len(u))
-        if (pos_num << (e - pos_exp)) != ((int(u, 2) if u else 0) << (e - len(u))):
-            return False
-        pos_num = (pos_num << (e - pos_exp)) + (1 << (e - len(u)))
-        pos_exp = e
-    return pos_num == (1 << pos_exp)
+    counts = Counter(map(len, branches))  # one shift per distinct length below
+    top = max(counts)
+    return (
+        sorted(branches) == branches
+        and not any(map(str.startswith, branches[1:], branches))
+        and sum(n << (top - k) for k, n in counts.items()) == 1 << top
+    )

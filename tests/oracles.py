@@ -4,7 +4,8 @@ None of these is used by the package itself: the checker decides the
 closure with `SuffixCongruence`, and synthesis certifies the result it
 returns. They stay small and obviously correct instead of fast.
 `ReferenceCongruence` is the closure engine with one child dict per trie
-node, which the flat, prefix-indexed `SuffixCongruence` replaced.
+node, which the flat, prefix-indexed `SuffixCongruence` replaced, and
+`reference_is_complete_prefix_code` the scan that the C-loop check replaced.
 """
 
 from collections import defaultdict, deque
@@ -203,6 +204,25 @@ def brute_force_relations(
             if v is not None and len(v) <= word_depth:
                 rels.add(relation(u, v))
     return frozenset(rels)
+
+
+def reference_is_complete_prefix_code(branches) -> bool:
+    """The endpoint scan `is_complete_prefix_code` replaced: each word's left
+    endpoint .u must be the running position, which then moves on by 2^-|u|,
+    and the scan must end at 1."""
+    branches = list(branches)
+    if not branches:
+        return False
+    pos_num, pos_exp = 0, 0  # running left endpoint as num/2^exp, unnormalized
+    for u in branches:
+        if not set(u) <= {"0", "1"}:
+            return False
+        e = max(pos_exp, len(u))
+        if (pos_num << (e - pos_exp)) != ((int(u, 2) if u else 0) << (e - len(u))):
+            return False
+        pos_num = (pos_num << (e - pos_exp)) + (1 << (e - len(u)))
+        pos_exp = e
+    return pos_num == (1 << pos_exp)
 
 
 def self_check_blocks(result) -> None:

@@ -134,6 +134,23 @@ def test_certify_reports_missing_field_as_fail(tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "value", ["9" * 5000, "[" * 100_000 + "]" * 100_000], ids=["huge-integer", "deep-nesting"]
+)
+def test_certify_reports_unreadable_json_as_fail(tmp_path, value):
+    """An integer past the interpreter's digit limit, or nesting past its
+    recursion limit, is a malformed certificate like any other."""
+    cfile = tmp_path / "cert.json"
+    go(["synthesize", "x0", "--target=1,1", "--cert", str(cfile)])
+    doc = json.loads(cfile.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, w="@")).replace('"@"', value))
+    rc, out, err = go(["certify", str(bad)])
+    assert rc == 1
+    assert out.startswith("FAIL invalid-certificate")
+    assert err == ""
+
+
 def test_certify_rejects_tampered_file(tmp_path):
     cfile = tmp_path / "cert.json"
     go(["synthesize", "x0", "--target=1,1", "--cert", str(cfile)])
