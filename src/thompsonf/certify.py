@@ -19,7 +19,6 @@ FAIL is a value carrying a machine-readable reason code, never an exception.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -664,11 +663,6 @@ def _group_word_from_obj(text) -> GroupWord:
     re-encodes to the same text."""
     if not isinstance(text, str):
         raise TypeError(f"group word must be a string, got {text!r}")
-    return _canonical_group_word(text)
-
-
-@functools.lru_cache(maxsize=256)  # a failure raises, and is not cached
-def _canonical_group_word(text: str) -> GroupWord:
     word = parse_group_word(text)
     if format_group_word(word) != text:
         raise ValueError(
@@ -694,14 +688,18 @@ def _witness_from_obj(obj, where: str) -> Witness:
 
 
 def _witnesses_from_objs(objs: list) -> tuple[Witness, ...]:
-    try:  # one pass per field; on any fault, decode witness by witness
+    """The witness list, each distinct group-word text parsed once and no
+    location formatted. On a fault, the witness-by-witness read raises it."""
+    try:
+        texts = [obj["word"] for obj in objs]
+        words = {text: _group_word_from_obj(text) for text in set(texts)}
         return tuple(map(
             Witness,
-            [_group_word_from_obj(obj["word"]) for obj in objs],
+            map(words.__getitem__, texts),
             words_from_texts([obj["lhs"] for obj in objs]),
             words_from_texts([obj["rhs"] for obj in objs]),
         ))
-    except (KeyError, TypeError, ValueError):  # raised again below, located
+    except (KeyError, TypeError, ValueError):
         return tuple(_witness_from_obj(obj, f"witnesses[{i}]") for i, obj in enumerate(objs))
 
 

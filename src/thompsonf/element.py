@@ -104,7 +104,7 @@ class Element:
 
 def from_branch_pairs(pairs) -> Element:
     """Validate a branch-pair table and return the reduced canonical element."""
-    pairs = [(u, v) for u, v in pairs]  # the prefix-code checks read the alphabet
+    pairs = list(pairs)
     domain = [u for u, _ in pairs]
     rng = [v for _, v in pairs]
     if not is_complete_prefix_code(domain):

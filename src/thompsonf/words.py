@@ -18,17 +18,17 @@ Word = str
 
 EMPTY: Word = ""
 
-_ALPHABET = frozenset("01")
-
-
-def check_word(u: Word) -> Word:
-    if not _ALPHABET.issuperset(u):
-        raise ValueError(f"not a binary word: {u!r}")
-    return u
-
 
 def _is_binary(text: str) -> bool:
     return text.count("0") + text.count("1") == len(text)  # two C scans
+
+
+def check_word(u: Word) -> Word:
+    if not isinstance(u, str):
+        raise TypeError(f"a word must be a string, got {u!r}")
+    if not _is_binary(u):
+        raise ValueError(f"not a binary word: {u!r}")
+    return u
 
 
 def word_to_text(u: Word) -> str:
@@ -37,16 +37,12 @@ def word_to_text(u: Word) -> str:
 
 
 def word_from_text(text: str) -> Word:
-    if not isinstance(text, str):
-        raise TypeError(f"a word must be a string, got {text!r}")
-    if text == "e":
-        return EMPTY
-    return check_word(text)
+    return EMPTY if text == "e" else check_word(text)
 
 
 def words_from_texts(texts: list) -> list[Word]:
-    """[word_from_text(t) for t in texts], checked in one C pass when every
-    text is a binary word; else the per-text loop raises the first fault."""
+    """[word_from_text(t) for t in texts], in one C scan when every text is
+    a word; otherwise that loop runs and raises the first fault."""
     words = ["" if t == "e" else t for t in texts]
     try:
         if _is_binary("".join(words)):

@@ -143,6 +143,30 @@ def test_words_from_texts_matches_word_by_word(texts):
     assert _outcome(words_from_texts, texts) == want
 
 
+_WORD_TEXTS = st.sampled_from(["e", "0", "101", "", "2", "e0"]) | st.integers(0, 1) | st.none()
+_GROUP_WORD_TEXTS = st.sampled_from(["g", "f^-1 g f", "g^-2", "f^1", "x", ""]) | st.integers(0, 1)
+_WITNESS_OBJS = st.lists(
+    st.one_of(
+        st.fixed_dictionaries({"word": _GROUP_WORD_TEXTS, "lhs": _WORD_TEXTS, "rhs": _WORD_TEXTS}),
+        st.dictionaries(st.sampled_from(["word", "lhs", "rhs"]), st.just("g")),
+        st.lists(st.just("g"), max_size=1),
+        st.none(),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(objs=_WITNESS_OBJS)
+def test_witness_list_batch_matches_witness_by_witness(objs):
+    """The batch read, which parses each distinct word text once, decodes or
+    refuses a witness list exactly as the located witness-by-witness read."""
+    want = _outcome(lambda: tuple(
+        certify_module._witness_from_obj(o, f"witnesses[{i}]") for i, o in enumerate(objs)
+    ))
+    assert _outcome(certify_module._witnesses_from_objs, objs) == want
+
+
 _CODE_WORDS = st.one_of(st.text(alphabet="01", max_size=4), st.sampled_from(["2", "0 ", "1_0"]))
 
 
