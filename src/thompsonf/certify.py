@@ -167,7 +167,7 @@ class SuffixCongruence:
     node, and it keeps no string but the words themselves.
     """
 
-    __slots__ = ("_node", "_pairs", "_parent", "_size", "_weight", "_kids", "_log")
+    __slots__ = ("_node", "_pairs", "_heavy", "_parent", "_size", "_weight", "_kids", "_log")
 
     def __init__(self, seeds, weighted=()):
         seeds, weighted = list(seeds), list(weighted)
@@ -189,7 +189,7 @@ class SuffixCongruence:
             node[word] = cur
             prev = word
         self._pairs = [(node[u], node[v]) for u, v in seeds]
-        heavy = {node[x] for x in weighted}
+        heavy = self._heavy = {node[x] for x in weighted}
         n = len(kids) >> 1
         self._parent = list(range(n))
         self._size = [1] * n
@@ -260,6 +260,33 @@ class SuffixCongruence:
             weight[a] -= weight[b]
         del log[mark:]
 
+    def needed_seeds(self, w: Word, limit: int) -> list[int]:
+        """Seeds below `limit` that every closure of fewer seeds needs to
+        hold every weighted word in w's class, read off the closed partition.
+
+        A node's class grows only when a seed names it or when its trie
+        parent's class merges with one that has a child on the same letter,
+        and the closure of fewer seeds refines this one. So a weighted node
+        other than w's that one non-trivial seed alone names, and whose
+        parent is alone in its class here, stays alone without that seed.
+        A parent is read from the child slots; one a fold filled names a
+        merged root, which is never alone, so that read only proves less."""
+        namer: dict[int, int] = {}  # node -> the one non-trivial seed naming it, or -1
+        for k, (u, v) in enumerate(self._pairs):
+            if u != v:
+                namer[u] = -1 if u in namer else k
+                namer[v] = -1 if v in namer else k
+        slot = dict(zip(self._kids, range(len(self._kids))))
+        home, parent, size = self._node.get(w), self._parent, self._size
+        needed = set()
+        for x in self._heavy:
+            k = namer.get(x, -1)
+            if 0 <= k < limit and x != home and x in slot:
+                p = slot[x] >> 1
+                if parent[p] == p and size[p] == 1:
+                    needed.add(k)
+        return sorted(needed)
+
     def weight(self, word: Word) -> int:
         """How many weighted nodes the class of `word` holds."""
         cur, rest = self.walk(word)
@@ -296,24 +323,31 @@ class SuffixCongruence:
 # --- certificate checks -------------------------------------------------------
 
 
-def _eval(cert: Certificate, word: GroupWord, memo: dict[GroupWord, Element]) -> Element:
-    """eval_word over the certificate's pair, at most once per word in memo."""
-    h = memo.get(word)
-    if h is None:
-        h = memo[word] = eval_word(word, cert.assignment())
-    return h
+Evaluated = tuple[Element, frozenset[Relation]]
+
+
+def _eval(cert: Certificate, word: GroupWord, memo: dict[GroupWord, Evaluated]) -> Evaluated:
+    """eval_word over the certificate's pair, with the set of its reduced
+    table's rows, at most once per word in memo."""
+    entry = memo.get(word)
+    if entry is None:
+        h = eval_word(word, cert.assignment())
+        entry = memo[word] = h, frozenset(h.pairs)
+    return entry
 
 
 def verify_witness(
-    cert: Certificate, wit: Witness, memo: dict[GroupWord, Element] | None = None
+    cert: Certificate, wit: Witness, memo: dict[GroupWord, Evaluated] | None = None
 ) -> bool:
     """Evaluate the witness word and re-check its claimed branch pair.
 
-    `memo` maps already evaluated words to their elements; pass one dict
-    for a whole check so that each distinct word is evaluated once.
+    `memo` maps already evaluated words to their elements and table rows;
+    pass one dict for a whole check so that each distinct word is evaluated
+    once. A row of the table is a branch pair by definition, so only other
+    pairs are traced through the element.
     """
-    h = _eval(cert, wit.word, {} if memo is None else memo)
-    return has_branch_pair(h, wit.lhs, wit.rhs)
+    h, rows = _eval(cert, wit.word, {} if memo is None else memo)
+    return wit.pair in rows or has_branch_pair(h, wit.lhs, wit.rhs)
 
 
 def _all_witnesses(cert: Certificate) -> list[Witness]:
@@ -367,11 +401,11 @@ def _schema_error(
     return None
 
 
-def _slope_error(cert: Certificate, memo: dict[GroupWord, Element]) -> str | None:
+def _slope_error(cert: Certificate, memo: dict[GroupWord, Evaluated]) -> str | None:
     alpha_word = cert.slope.alpha
     if "1" not in alpha_word:
         return "alpha must lie in (0,1)"
-    h = _eval(cert, cert.slope.word, memo)
+    h = _eval(cert, cert.slope.word, memo)[0]
     alpha = word_to_dyadic(alpha_word)
     if evaluate(h, alpha) != alpha:
         return f"element does not fix .{alpha_word}"
@@ -438,7 +472,10 @@ class BoundedRelation:
         """Least i < count with not same(stem + t*i + suffix, w), else None.
 
         One walk reads stem + t^i one t at a time, so each member costs a
-        step through its suffix instead of a walk from the root."""
+        step through its suffix instead of a walk from the root. A member's
+        verdict, but for the length cut-off, depends only on the state its
+        stem + t^i reaches, so the walk stops at the first repeated state:
+        at most one step per trie node, whatever `count` is."""
         if count <= 0:
             return None
         if len(w) > self._bound:
@@ -446,11 +483,14 @@ class BoundedRelation:
         cong = self.congruence
         target = cong.walk(w)
         room = self._bound - len(stem) - len(suffix)  # members past i = room are too long
-        state = cong.walk(stem)
+        state, seen = cong.walk(stem), set()
         for i in range(count):
             if i > room or cong.walk(suffix, state) != target:
                 return i
+            seen.add(state)
             state = cong.walk(t, state)
+            if state in seen:  # every later member passes but for the cut-off
+                return room + 1 if room + 1 < count else None
         return None
 
 
@@ -496,7 +536,7 @@ def certify_normal_generation(
     err = _structural_error(cert)
     if err:
         return _fail("invalid-certificate", err)
-    memo: dict[GroupWord, Element] = {}  # this check's evaluations, never shared
+    memo: dict[GroupWord, Evaluated] = {}  # this check's evaluations, never shared
     for wit in _all_witnesses(cert):
         if not verify_witness(cert, wit, memo):
             return _fail(

@@ -168,36 +168,40 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     dropping a witness breaks a condition it stays broken for every later
     (smaller) seed set, and every survivor is necessary.
 
-    The trials are decided offline on one rolled-back closure: `solve(lo, hi)`
-    starts from the survivors before lo and every witness from hi on, so each
-    seed is folded O(log W) times. If the conditions hold on every seed,
-    they hold on a subset iff w's class holds every obligation word: their
-    shapes and length bounds do not depend on the seeds."""
+    If the conditions hold on every seed, they hold on a subset iff w's
+    class holds every obligation word: their shapes and length bounds do not
+    depend on the seeds. The witnesses `needed_seeds` proves necessary are
+    kept, and are in the seeds of every other witness's trial, so they are
+    folded once, with the schema pairs. The other trials are decided offline on one
+    rolled-back closure: `solve(lo, hi)` starts from the survivors before
+    lo and every undecided witness from hi on, so each is folded O(log R)
+    times for R undecided."""
     n = len(cert.witnesses)  # seeds n and n + 1 are the schema pairs
     closure = BoundedRelation(closure_seeds(cert), cert.depth, weighted=_obligations(cert))
     if conditions_error(cert, closure) is not None:
         return cert  # no trial can pass on fewer seeds
     cong = closure.congruence
     total = cong.weight(cert.w)  # every obligation node, since all are ~ w
+    kept = cong.needed_seeds(cert.w, n)
+    rest = sorted(set(range(n)).difference(kept))
     cong.rollback(0)
-    cong.add([n, n + 1])
-    kept: list[int] = []
+    cong.add([*kept, n, n + 1])
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo == 1:
             if cong.weight(cert.w) != total:
-                kept.append(lo)
+                kept.append(rest[lo])
             return
         mid, mark, before = (lo + hi) // 2, cong.mark(), len(kept)
-        cong.add(range(mid, hi))
+        cong.add(rest[mid:hi])
         solve(lo, mid)
         cong.rollback(mark)
         cong.add(kept[before:])  # the survivors in [lo, mid)
         solve(mid, hi)
 
-    if n:
-        solve(0, n)
-    return replace(cert, witnesses=tuple(cert.witnesses[k] for k in kept))
+    if rest:
+        solve(0, len(rest))
+    return replace(cert, witnesses=tuple(cert.witnesses[k] for k in sorted(kept)))
 
 
 def _finish(

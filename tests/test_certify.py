@@ -227,6 +227,30 @@ def test_each_distinct_word_is_evaluated_once(monkeypatch):
     assert calls == collections.Counter({w: 2 for w in set(words)})
 
 
+def test_table_rows_are_accepted_by_lookup(monkeypatch):
+    cert = synthesize(X0, 3, 3).certificate
+    g_rows = set(cert.g.pairs)
+    wits = [*cert.witnesses, cert.left_schema.witness, cert.right_schema.witness]
+    traced = []
+
+    def tracing(h, u, v):
+        traced.append((u, v))
+        return has_branch_pair(h, u, v)
+
+    monkeypatch.setattr(certify_module, "has_branch_pair", tracing)
+    assert certify_normal_generation(cert).ok
+    looked_up = [wit.pair for wit in wits if wit.word == (("g", 1),) and wit.pair in g_rows]
+    assert looked_up and not set(looked_up) & set(traced)
+    assert len(traced) == len(wits) - len(looked_up)
+    # a pair below a row is a branch pair too, though not a row; a pair
+    # that is neither still fails
+    u, v = cert.g.pairs[0]
+    memo = {}
+    assert verify_witness(cert, Witness((("g", 1),), u + "0", v + "0"), memo)
+    assert not verify_witness(cert, Witness((("g", 1),), u, v + "0"), memo)
+    assert traced[-2:] == [(u + "0", v + "0"), (u, v + "0")]
+
+
 def test_closure_seeds_are_true_relations(good):
     fg = {"f": good.f, "g": good.g}
     carried = set()

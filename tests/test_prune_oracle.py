@@ -21,7 +21,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thompsonf import X0, invert, synthesis, synthesize
 from thompsonf.certify import (
@@ -31,8 +31,10 @@ from thompsonf.certify import (
     SuffixCongruence,
     Witness,
     _schema_error,
+    certify_normal_generation,
     closure_seeds,
     conditions_error,
+    queried_words,
 )
 from thompsonf.cli import corpus_entries, random_nontrivial
 from thompsonf.dynamics import PreconditionViolated
@@ -216,10 +218,43 @@ def test_pruner_folds_each_seed_a_logarithmic_number_of_times(k):
     assert folds <= (w + 2) * (math.ceil(math.log2(w)) + 2), (folds, w)
 
 
+@pytest.mark.parametrize("k", [48, 200])
+def test_pruner_folds_proven_witnesses_once(k):
+    # the full closure folds every seed once, the proven witnesses are folded
+    # once more, and only the undecided ones are searched
+    folds, w = _fold_count(X0, k, k)
+    assert folds <= 3 * w, (folds, w)
+
+
 # --- rolling back to a subset --------------------------------------------------
 
 short_words = st.text(alphabet="01", min_size=0, max_size=5)
 seed_lists = st.lists(st.tuples(short_words, short_words), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seeds=seed_lists,
+    heavy=st.lists(st.integers(0, 15), min_size=1, max_size=6),
+    extra=st.lists(short_words, max_size=3),
+    limit=st.integers(0, 8),
+)
+# "0" roots the class of the weighted "1" without being weighted itself, and
+# seed 0 alone names it; but w = "1" is the only weighted word, so no seed
+# is needed
+@example(seeds=[("0", "1")], heavy=[1], extra=[], limit=1)
+# "11" has a lone parent, but two seeds name it, each enough to relate it to w
+@example(seeds=[("0", "11"), ("10", "11")], heavy=[0, 1], extra=[], limit=2)
+def test_needed_seeds_are_needed(seeds, heavy, extra, limit):
+    # weighted words mostly named by seeds, as the pruner's obligations are
+    words = [u for pair in seeds for u in pair]
+    weighted = [words[i % len(words)] for i in heavy] + extra
+    w = weighted[0]
+    needed = SuffixCongruence(seeds, weighted).needed_seeds(w, limit)
+    assert needed == sorted(set(needed)) and all(k < limit for k in needed)
+    for k in needed:
+        fresh = SuffixCongruence(seeds[:k] + seeds[k + 1:], weighted)
+        assert not all(fresh.same(x, w) for x in weighted), (k, seeds)
 
 
 def _snapshot(cong: SuffixCongruence):
@@ -286,7 +321,7 @@ def schema_cases(draw):
     a = draw(st.integers(b + 1, b + 4))
     shift = Witness((("g", 1),), base + t * a, base + t * b)
     need = max(a - b, a - (stem_len - len(base)))
-    base_count = draw(st.integers(max(need - 1, 0), need + 6))
+    base_count = draw(st.integers(max(need - 1, 0), need + 40))  # past the walk's cycles
     schema = ShiftSchema(t, stem, suffix, shift, base_count)
     w = draw(st.text(alphabet="01", min_size=2, max_size=6).filter(lambda u: "0" in u and "1" in u))
     # seeds that relate some members to w, plus noise
@@ -321,3 +356,22 @@ def test_family_walk_reports_the_first_member_past_the_bound():
     got = _schema_error(cert, schema, closure, "left")
     assert got == reference_schema_error(cert, schema, closure, "left")
     assert got == "base relation 00001 ~ 01 unproved"
+
+
+def test_family_walk_is_bounded_by_the_trie_at_any_base_count():
+    # the walk stops at its first repeated state, so a 13-digit base_count
+    # costs what a small one does
+    cert = synthesize(X0, 1, 1).certificate
+    left = replace(cert.left_schema, base_count=10**12)
+    cert = replace(cert, left_schema=left, depth=10**12 + 50)
+    closure = BoundedRelation(closure_seeds(cert), cert.depth, queried_words(cert))
+    real_walk, calls = SuffixCongruence.walk, [0]
+
+    def counting_walk(self, word, state=None):
+        calls[0] += 1
+        return real_walk(self, word, state)
+
+    with mock.patch.object(SuffixCongruence, "walk", counting_walk):
+        assert closure.first_unrelated(left.stem, "0", "1", left.base_count, cert.w) is None
+    assert calls[0] <= len(closure.congruence._kids) // 2 + 2, calls
+    assert certify_normal_generation(cert).ok
