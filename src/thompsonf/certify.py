@@ -306,18 +306,39 @@ class SuffixCongruence:
         cur, rest = (self._find(0), "") if state is None else state
         if rest:
             return cur, rest + word
-        kids, parent = self._kids, self._parent
+        kids, find = self._kids, self._find
         for i, ch in enumerate(word):
             nxt = kids[2 * cur + (ch == "1")]
             if nxt < 0:
                 return cur, word[i:]
-            while parent[nxt] != nxt:
-                nxt = parent[nxt]
-            cur = nxt
+            cur = find(nxt)
         return cur, ""
 
     def same(self, u: Word, v: Word) -> bool:
         return self.walk(u) == self.walk(v)
+
+    def first_unrelated(
+        self, stem: Word, t: str, suffix: Word, count: int, w: Word
+    ) -> int | None:
+        """Least i < count with not same(stem + t*i + suffix, w), else None.
+
+        One walk reads stem + t^i one t at a time, so each member costs a
+        step through its suffix instead of a walk from the root. A member's
+        verdict depends only on the state its stem + t^i reaches, so the
+        walk stops at the first repeated state. A state off the trie never
+        repeats, but its unread rest grows a letter a step, so at most one
+        of its members reaches w's state: the walk takes at most one step
+        per trie node and two more, whatever `count` is."""
+        target = self.walk(w)
+        state, seen = self.walk(stem), set()
+        for i in range(count):
+            if self.walk(suffix, state) != target:
+                return i
+            seen.add(state)
+            state = self.walk(t, state)
+            if state in seen:  # every later member passes too
+                return None
+        return None
 
 
 # --- certificate checks -------------------------------------------------------
@@ -371,7 +392,7 @@ def closure_seeds(cert: Certificate) -> list[Relation]:
 
 
 def _schema_error(
-    cert: Certificate, schema: ShiftSchema, closure: BoundedRelation, side: str
+    cert: Certificate, schema: ShiftSchema, cong: SuffixCongruence, bound: int, side: str
 ) -> str | None:
     t = schema.tail
     stem, tail, suffix = (cert.tree[0], "0", "1") if side == "left" else (cert.tree[-1], "1", "0")
@@ -393,8 +414,13 @@ def _schema_error(
         return f"base_count {schema.base_count} < required {need}"
     # Members from `need` on follow by the shift, but all below base_count are
     # checked: they are the pruner's obligations, and stopping at `need` would
-    # let it drop more witnesses and change the emitted certificates.
-    i = closure.first_unrelated(schema.stem, t, schema.suffix, schema.base_count, cert.w)
+    # let it drop more witnesses and change the emitted certificates. Members
+    # past `room` letters of tail are longer than the bound, and so unproved.
+    room = bound - len(schema.stem) - len(schema.suffix) if len(cert.w) <= bound else -1
+    count = max(0, min(schema.base_count, room + 1))
+    i = cong.first_unrelated(schema.stem, t, schema.suffix, count, cert.w)
+    if i is None and count < schema.base_count:
+        i = count
     if i is not None:
         member = schema.stem + t * i + schema.suffix
         return f"base relation {word_to_text(member)} ~ {word_to_text(cert.w)} unproved"
@@ -437,82 +463,40 @@ def _structural_error(cert: Certificate) -> str | None:
     return None
 
 
-class BoundedRelation:
-    """Membership test for the length-bounded saturation, without building it.
-
-    The bounded closure stabilizes once the bound reaches the longest seed
-    word: every merge folding makes on the trie of the seed words joins two
-    nodes no longer than the longest seed, so any congruence-equal pair
-    (u, v) has a pair derivation whose intermediates stay within
-    max(longest seed, |u|, |v|). For bounds at or above the longest seed,
-    membership in the saturation of the seeds at bound L is therefore the
-    congruence relation restricted to words of length <= L. Bounds below
-    the longest seed are rejected with ValueError, as the saturation itself
-    rejects them; any subset of the seeds then satisfies the bound too.
-    Cross-checked against the materialized saturation in tests/oracles.py."""
-
-    __slots__ = ("congruence", "_bound")
-
-    def __init__(self, seeds, bound: int, weighted=()):
-        seeds = list(seeds)
-        longest = max((max(len(p), len(q)) for p, q in seeds), default=0)
-        if longest > bound:
-            raise ValueError(f"closure bound {bound} is below the longest seed word ({longest})")
-        self.congruence = SuffixCongruence(seeds, weighted)
-        self._bound = bound
-
-    def same(self, u: Word, v: Word) -> bool:
-        if len(u) > self._bound or len(v) > self._bound:
-            return False
-        return self.congruence.same(u, v)
-
-    def first_unrelated(
-        self, stem: Word, t: str, suffix: Word, count: int, w: Word
-    ) -> int | None:
-        """Least i < count with not same(stem + t*i + suffix, w), else None.
-
-        One walk reads stem + t^i one t at a time, so each member costs a
-        step through its suffix instead of a walk from the root. A member's
-        verdict, but for the length cut-off, depends only on the state its
-        stem + t^i reaches, so the walk stops at the first repeated state:
-        at most one step per trie node, whatever `count` is."""
-        if count <= 0:
-            return None
-        if len(w) > self._bound:
-            return 0
-        cong = self.congruence
-        target = cong.walk(w)
-        room = self._bound - len(stem) - len(suffix)  # members past i = room are too long
-        state, seen = cong.walk(stem), set()
-        for i in range(count):
-            if i > room or cong.walk(suffix, state) != target:
-                return i
-            seen.add(state)
-            state = cong.walk(t, state)
-            if state in seen:  # every later member passes but for the cut-off
-                return room + 1 if room + 1 < count else None
-        return None
-
-
-def conditions_error(cert: Certificate, closure: BoundedRelation) -> tuple[str, str] | None:
-    """Check tree conditions (1)-(4) against a closure of relation seeds.
+def conditions_error(
+    cert: Certificate, cong: SuffixCongruence, bound: int
+) -> tuple[str, str] | None:
+    """Check tree conditions (1)-(4) against a closure of relation seeds,
+    relating only words of at most `bound` letters.
 
     Returns (code, detail) for the first violated condition, None if all
     hold. Witness verification and the slope check live elsewhere; this is
     the piece that depends on which relation seeds are available, so the
     caller builds the closure (the checker from every seed of the
     certificate, the pruner from every seed once, before its trials).
+
+    This is the saturation of the seeds bounded at `bound` once `bound`
+    reaches the longest seed word, which the checker requires: every merge
+    folding makes on the trie of the seed words joins two nodes no longer
+    than the longest seed, so any congruent pair (u, v) has a pair
+    derivation whose intermediates stay within max(longest seed, |u|, |v|).
+    The bounded saturation is therefore the congruence restricted to words
+    of length <= bound, and any subset of the seeds meets the bound too.
     """
     w = cert.w
+
+    def related(u: Word) -> bool:
+        return max(len(u), len(w)) <= bound and cong.same(u, w)
+
     for ch in "01":
-        if not closure.same(w, w + ch):
+        if not related(w + ch):
             return "condition-1", f"{word_to_text(w)} ~ {word_to_text(w)}{ch} unproved"
     for u in cert.tree[1:-1]:
-        if not closure.same(u, w):
+        if not related(u):
             return "condition-2", f"{word_to_text(u)} ~ {word_to_text(w)} unproved"
     left, right = cert.left_schema, cert.right_schema
     for code, side, schema in (("condition-3", "left", left), ("condition-4", "right", right)):
-        err = _schema_error(cert, schema, closure, side)
+        err = _schema_error(cert, schema, cong, bound, side)
         if err:
             return code, err
     return None
@@ -528,10 +512,10 @@ def certify_normal_generation(
     the witness pairs, and the slope witness. The checker never consults how
     the certificate was produced.
 
-    The closure is the saturation bounded at cert.depth; `bound` overrides
-    that. A condition that fails reports the bound in its detail so the
-    caller can retry higher; a bound below the certificate's own seed words
-    is unusable and is reported as invalid-certificate.
+    The conditions relate only words of at most cert.depth letters; `bound`
+    overrides that. A condition that fails reports the bound in its detail
+    so the caller can retry higher; a bound below the certificate's own
+    seed words is unusable and is reported as invalid-certificate.
     """
     err = _structural_error(cert)
     if err:
@@ -545,12 +529,16 @@ def certify_normal_generation(
                 f"{word_to_text(wit.lhs)} -> {word_to_text(wit.rhs)}",
             )
     effective = cert.depth if bound is None else bound
-    try:
-        # not the schema members: there are base_count of them, an untrusted number
-        closure = BoundedRelation(closure_seeds(cert), effective, queried_words(cert))
-    except ValueError as exc:
-        return _fail("invalid-certificate", str(exc))
-    violated = conditions_error(cert, closure)
+    seeds = closure_seeds(cert)
+    longest = max(len(x) for pair in seeds for x in pair)
+    if longest > effective:
+        return _fail(
+            "invalid-certificate",
+            f"closure bound {effective} is below the longest seed word ({longest})",
+        )
+    # not the schema members: there are base_count of them, an untrusted number
+    cong = SuffixCongruence(seeds, queried_words(cert))
+    violated = conditions_error(cert, cong, effective)
     if violated:
         code, detail = violated
         return _fail(code, f"{detail} at closure bound {effective}")

@@ -52,19 +52,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def companion_rectangular(a: int, b: int) -> tuple[int, int, RectangularForm]:
     """(c, d, (p, q)) with <(a,b),(c,d)> = pZ x qZ and pq = gcd(a,b).
 
@@ -81,11 +68,12 @@ def companion_rectangular(a: int, b: int) -> tuple[int, int, RectangularForm]:
         return 0, 1, RectangularForm(abs(a), 1)
     g = math.gcd(a, b)
     ap, bp = a // g, b // g
-    q = 1
-    for prime, mult in _prime_factors(g).items():
-        if ap % prime == 0:
-            q *= prime**mult
-    p = g // q
+    # peel q off g by gcds: d holds every prime of a' still dividing p
+    p, q, d = g, 1, math.gcd(g, ap)
+    while d > 1:
+        p //= d
+        q *= d
+        d = math.gcd(p, d)
     # solve m*(q*ap) - n*(p*bp) = 1 with minimal non-negative n
     A, B = q * ap, p * bp
     gg, x, y = _egcd(A, -B)  # A*x + (-B)*y = 1, so (m, n) = (x, y)

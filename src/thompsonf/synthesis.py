@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .certify import (
-    BoundedRelation,
     Certificate,
     ShiftSchema,
     SlopeWitness,
+    SuffixCongruence,
     Witness,
     certify_normal_generation,
     closure_seeds,
@@ -177,10 +177,9 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     lo and every undecided witness from hi on, so each is folded O(log R)
     times for R undecided."""
     n = len(cert.witnesses)  # seeds n and n + 1 are the schema pairs
-    closure = BoundedRelation(closure_seeds(cert), cert.depth, weighted=_obligations(cert))
-    if conditions_error(cert, closure) is not None:
+    cong = SuffixCongruence(closure_seeds(cert), _obligations(cert))
+    if conditions_error(cert, cong, cert.depth) is not None:
         return cert  # no trial can pass on fewer seeds
-    cong = closure.congruence
     total = cong.weight(cert.w)  # every obligation node, since all are ~ w
     kept = cong.needed_seeds(cert.w, n)
     rest = sorted(set(range(n)).difference(kept))

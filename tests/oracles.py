@@ -5,11 +5,14 @@ closure with `SuffixCongruence`, and synthesis certifies the result it
 returns. They stay small and obviously correct instead of fast.
 `ReferenceCongruence` is the closure engine with one child dict per trie
 node, which the flat, prefix-indexed `SuffixCongruence` replaced, and
-`reference_is_complete_prefix_code` the scan that the C-loop check replaced.
+`reference_is_complete_prefix_code` the scan that the C-loop check replaced,
+and `reference_rectangular_split` the trial division that the lattice's
+gcd peeling replaced.
 """
 
 from collections import defaultdict, deque
 from dataclasses import replace
+from math import gcd
 
 from thompsonf.certify import SlopeWitness, Witness
 from thompsonf.element import (
@@ -223,6 +226,31 @@ def reference_is_complete_prefix_code(branches) -> bool:
         pos_num = (pos_num << (e - pos_exp)) + (1 << (e - len(u)))
         pos_exp = e
     return pos_num == (1 << pos_exp)
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """n's prime factorization by trial division up to sqrt(n)."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def reference_rectangular_split(a: int, b: int) -> tuple[int, int]:
+    """(p, q) with g = gcd(a, b) = pq, q collecting the prime powers of g
+    whose prime divides a / g, read off g's factorization."""
+    g = gcd(a, b)
+    q = 1
+    for prime, mult in prime_factors(g).items():
+        if (a // g) % prime == 0:
+            q *= prime**mult
+    return g // q, q
 
 
 def self_check_blocks(result) -> None:

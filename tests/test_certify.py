@@ -195,6 +195,16 @@ def test_bound_override(good):
     low = certify_normal_generation(good, bound=2)
     assert not low.ok
     assert low.code == "invalid-certificate"
+    # the x0 (0, 0) certificate's longest seed word has 5 letters, its
+    # inner branches 6 and its left family's members 7 on
+    zero = synthesize(X0, 0, 0).certificate
+    verdicts = [str(certify_normal_generation(zero, bound=b)) for b in (4, 5, 6)]
+    assert verdicts == [
+        "FAIL invalid-certificate: closure bound 4 is below the longest seed word (5)",
+        "FAIL condition-2: 000001 ~ 01 unproved at closure bound 5",
+        "FAIL condition-3: base relation 0000001 ~ 01 unproved at closure bound 6",
+    ]
+    assert certify_normal_generation(zero).ok
 
 
 def test_padded_witness_word_checks_fast():

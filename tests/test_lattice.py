@@ -1,4 +1,5 @@
 import math
+import time
 from math import gcd
 
 import pytest
@@ -13,6 +14,8 @@ from thompsonf.lattice import (
     index_of,
     lattice_contains,
 )
+
+from oracles import reference_rectangular_split
 
 vecs = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 
@@ -89,6 +92,23 @@ def test_companion_contract(v):
     assert lattice_contains(basis, (0, form.q))
     assert lattice_contains(rect, (a, b))
     assert lattice_contains(rect, (c, d))
+
+
+def test_companion_split_matches_factoring():
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            if a and b:
+                form = companion_rectangular(a, b)[2]
+                assert (form.p, form.q) == reference_rectangular_split(a, b), (a, b)
+
+
+def test_companion_of_a_large_prime_gcd_is_fast():
+    # gcd 2^61 - 1 is prime: trial division would run to its square root
+    m = 2**61 - 1
+    start = time.perf_counter()
+    assert companion_rectangular(m, m) == (0, 1, RectangularForm(m, 1))
+    assert companion_rectangular(12 * m, 18 * m)[2] == RectangularForm(3 * m, 2)
+    assert time.perf_counter() - start < 0.5
 
 
 @given(vecs)

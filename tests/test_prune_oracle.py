@@ -25,7 +25,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from thompsonf import X0, invert, synthesis, synthesize
 from thompsonf.certify import (
-    BoundedRelation,
     Certificate,
     ShiftSchema,
     SuffixCongruence,
@@ -54,15 +53,16 @@ def reference_prune(cert: Certificate) -> Certificate:
     while i < len(kept):
         trial = kept[:i] + kept[i + 1:]
         seeds = [x.pair for x in trial] + schema_pairs
-        if conditions_error(cert, BoundedRelation(seeds, cert.depth)) is None:
+        if conditions_error(cert, SuffixCongruence(seeds), cert.depth) is None:
             kept = trial
         else:
             i += 1
     return replace(cert, witnesses=tuple(kept))
 
 
-def reference_schema_error(cert, schema: ShiftSchema, closure, side: str):
-    """The schema check with one `same` query per base member."""
+def reference_schema_error(cert, schema: ShiftSchema, cong, bound: int, side: str):
+    """The schema check with one `same` query per base member, each member
+    longer than the bound unproved."""
     t = schema.tail
     expected_stem = cert.tree[0] if side == "left" else cert.tree[-1]
     expected_tail = "0" if side == "left" else "1"
@@ -88,7 +88,7 @@ def reference_schema_error(cert, schema: ShiftSchema, closure, side: str):
         return f"base_count {schema.base_count} < required {need}"
     for i in range(schema.base_count):
         member = schema.stem + t * i + schema.suffix
-        if not closure.same(member, cert.w):
+        if not (max(len(member), len(cert.w)) <= bound and cong.same(member, cert.w)):
             return f"base relation {word_to_text(member)} ~ {word_to_text(cert.w)} unproved"
     return None
 
@@ -179,15 +179,14 @@ def test_obligation_counter_matches_conditions(data):
     dropped = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
     subset = [k for k in range(n) if k not in dropped] + [n, n + 1]  # schema pairs always in
     seeds = closure_seeds(cert)
-    closure = BoundedRelation(seeds, cert.depth, weighted=synthesis._obligations(cert))
-    assert conditions_error(cert, closure) is None  # the counter's precondition
-    cong = closure.congruence
+    cong = SuffixCongruence(seeds, synthesis._obligations(cert))
+    assert conditions_error(cert, cong, cert.depth) is None  # the counter's precondition
     total = cong.weight(cert.w)
     cong.rollback(0)
     cong.add(subset)
     counted = cong.weight(cert.w) == total
-    fresh = BoundedRelation([seeds[k] for k in subset], cert.depth)
-    assert counted == (conditions_error(cert, fresh) is None)
+    fresh = SuffixCongruence([seeds[k] for k in subset])
+    assert counted == (conditions_error(cert, fresh, cert.depth) is None)
 
 
 def _fold_count(f, c, d) -> tuple[int, int]:
@@ -338,11 +337,19 @@ def schema_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=schema_cases())
+# w is longer than the bound, yet congruent to member 0 ("0" ~ "00" ~ "")
+@example(case=(
+    "left",
+    ShiftSchema("0", "0", "1", Witness((("g", 1),), "0", ""), 1),
+    SimpleNamespace(tree=("0", "1"), w="0001"),
+    [("0", ""), ("0", "00")],
+    3,
+))
 def test_family_walk_matches_member_queries(case):
     side, schema, cert, seeds, bound = case
-    closure = BoundedRelation(seeds, bound)
-    want = reference_schema_error(cert, schema, closure, side)
-    assert _schema_error(cert, schema, closure, side) == want
+    cong = SuffixCongruence(seeds)
+    want = reference_schema_error(cert, schema, cong, bound, side)
+    assert _schema_error(cert, schema, cong, bound, side) == want
 
 
 def test_family_walk_reports_the_first_member_past_the_bound():
@@ -350,11 +357,11 @@ def test_family_walk_reports_the_first_member_past_the_bound():
     w = "01"
     stem, members = "0", ["0" + "0" * i + "1" for i in range(5)]
     seeds = [("000", "0")] + [(m, w) for m in members[:2]]
-    closure = BoundedRelation(seeds, 4)
+    cong = SuffixCongruence(seeds)
     schema = ShiftSchema("0", stem, "1", Witness((("g", 1),), "000", "0"), 5)
     cert = SimpleNamespace(tree=(stem, "1"), w=w)
-    got = _schema_error(cert, schema, closure, "left")
-    assert got == reference_schema_error(cert, schema, closure, "left")
+    got = _schema_error(cert, schema, cong, 4, "left")
+    assert got == reference_schema_error(cert, schema, cong, 4, "left")
     assert got == "base relation 00001 ~ 01 unproved"
 
 
@@ -364,7 +371,7 @@ def test_family_walk_is_bounded_by_the_trie_at_any_base_count():
     cert = synthesize(X0, 1, 1).certificate
     left = replace(cert.left_schema, base_count=10**12)
     cert = replace(cert, left_schema=left, depth=10**12 + 50)
-    closure = BoundedRelation(closure_seeds(cert), cert.depth, queried_words(cert))
+    cong = SuffixCongruence(closure_seeds(cert), queried_words(cert))
     real_walk, calls = SuffixCongruence.walk, [0]
 
     def counting_walk(self, word, state=None):
@@ -372,6 +379,14 @@ def test_family_walk_is_bounded_by_the_trie_at_any_base_count():
         return real_walk(self, word, state)
 
     with mock.patch.object(SuffixCongruence, "walk", counting_walk):
-        assert closure.first_unrelated(left.stem, "0", "1", left.base_count, cert.w) is None
-    assert calls[0] <= len(closure.congruence._kids) // 2 + 2, calls
+        assert cong.first_unrelated(left.stem, "0", "1", left.base_count, cert.w) is None
+    assert calls[0] <= len(cong._kids) // 2 + 2, calls
     assert certify_normal_generation(cert).ok
+
+
+def test_family_walk_ends_soon_after_leaving_the_trie():
+    # "0" is not in the trie, so the walk leaves it at once; the states off
+    # the trie never repeat, but member 0 is the only one that reaches w's
+    cong = SuffixCongruence([("1", "11")])
+    assert cong.first_unrelated("0", "0", "1", 10**12, "01") == 1
+    assert cong.first_unrelated("0", "0", "1", 1, "01") is None
