@@ -28,7 +28,7 @@ from .element import (
     X1,
     Element,
     GroupWord,
-    _product,
+    _tree_product,
     abelianize,
     eval_word,
     evaluate,
@@ -85,7 +85,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    out = _product([resolve_element(ref) for ref in args.elements])
+    out = _tree_product([(resolve_element(ref), 1) for ref in args.elements])
     _write_or_print(format_element(out), args.out)
     return 0
 

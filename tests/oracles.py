@@ -4,10 +4,11 @@ None of these is used by the package itself: the checker decides the
 closure with `SuffixCongruence`, and synthesis certifies the result it
 returns. They stay small and obviously correct instead of fast.
 `ReferenceCongruence` is the closure engine with one child dict per trie
-node, which the flat, prefix-indexed `SuffixCongruence` replaced, and
+node, which the flat, prefix-indexed `SuffixCongruence` replaced,
 `reference_is_complete_prefix_code` the scan that the C-loop check replaced,
-and `reference_rectangular_split` the trial division that the lattice's
-gcd peeling replaced.
+`reference_rectangular_split` the trial division that the lattice's
+gcd peeling replaced, and `balanced_product` the pairwise table merging that
+tree surgery replaced in `eval_word` and `thompsonf compose`.
 """
 
 from collections import defaultdict, deque
@@ -207,6 +208,23 @@ def brute_force_relations(
             if v is not None and len(v) <= word_depth:
                 rels.add(relation(u, v))
     return frozenset(rels)
+
+
+def balanced_product(elements: list[Element]) -> Element:
+    """The left-to-right product, multiplied pairwise level by level.
+
+    Each level composes neighbours, [e0 e1, e2 e3, ...], so every element
+    takes part in at most ceil(log2 n) composes. Up to three elements are
+    composed in left-fold order, ((e0 e1) e2).
+    """
+    if not elements:
+        return IDENTITY
+    while len(elements) > 1:
+        paired = [compose(a, b) for a, b in zip(elements[::2], elements[1::2])]
+        if len(elements) & 1:
+            paired.append(elements[-1])
+        elements = paired
+    return elements[0]
 
 
 def reference_is_complete_prefix_code(branches) -> bool:

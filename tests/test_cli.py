@@ -63,6 +63,12 @@ def test_compose_invert_flip_round_trip():
     assert parse_element(out3) == invert(X0)
 
 
+def test_compose_matches_parse_of_the_joined_word():
+    rc, out, _ = go(["compose", "x0", "x1^-1", "x0^2", "x1"])
+    assert rc == 0
+    assert out == go(["parse", "x0 x1^-1 x0^2 x1"])[1]
+
+
 def test_slopes_and_uvw_json():
     rc, out, _ = go(["slopes", "x1", ".11", "--json"])
     assert rc == 0

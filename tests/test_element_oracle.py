@@ -4,12 +4,12 @@ The references are the original table-rescanning implementations: compose
 over the union of both codes' trees, with a whole-table scan per leaf, a
 linear scan for the branch that contains a point, and a group word evaluated
 as a left fold, one letter at a time. They are kept here as oracles for the
-merge-based compose, the squaring power, the bisect locator and the balanced
-word product. The references are quadratic, so the properties run without a
-per-example deadline.
+merge-based compose, the squaring power, the bisect locator and the tree
+surgery that evaluates group words, which is also checked against the
+balanced product of `tests/oracles.py`. The references are quadratic, so the
+properties run without a per-example deadline.
 """
 
-import math
 import random
 
 import pytest
@@ -26,6 +26,7 @@ from thompsonf import (
     compose,
     eval_word,
     evaluate,
+    flip,
     image_of_interval,
     invert,
     power,
@@ -35,6 +36,8 @@ from thompsonf import (
 from thompsonf import element
 from thompsonf.element import _reduce_pairs
 from thompsonf.words import Dyadic, word_to_dyadic
+
+from oracles import balanced_product
 
 # --- reference implementations -------------------------------------------------
 
@@ -146,26 +149,38 @@ letters = st.lists(
 )
 reference_elements = letters.map(reference_word)
 GENS = {"x0": X0, "x1": X1, "id": IDENTITY}
-gen_names = st.sampled_from(tuple(GENS))
-gen_letters = st.tuples(gen_names, st.sampled_from((1, -1, 2, -2, 3)))
-# leaves are single letters, cancelling neighbours x^a x^-a and zero-sum runs
-# x^a x^b x^-(a+b); branches concatenate, or conjugate a word by a letter so
-# that folding the middle away cascades into the letters around it
-word_leaves = st.one_of(
-    gen_letters.map(lambda t: [t]),
-    gen_letters.map(lambda t: [t, (t[0], -t[1])]),
-    st.tuples(gen_names, st.integers(1, 2), st.integers(1, 2)).map(
-        lambda t: [(t[0], t[1]), (t[0], t[2]), (t[0], -t[1] - t[2])]
-    ),
-)
-rich_group_words = st.recursive(
-    word_leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, min_size=2, max_size=4).map(lambda ws: [x for w in ws for x in w]),
-        st.tuples(gen_letters, inner).map(lambda t: [t[0], *t[1], (t[0][0], -t[0][1])]),
-    ),
-    max_leaves=25,
-).map(lambda w: tuple(w[:60]))
+
+
+def rich_words(names, exponents):
+    """Group words over names, exponents drawn from exponents, with cancellations.
+
+    Leaves are single letters, cancelling neighbours x^a x^-a and zero-sum
+    runs x^a x^b x^-(a+b); branches concatenate, or conjugate a word by a
+    letter so that folding the middle away cascades into the letters around it.
+    """
+    names = st.sampled_from(names)
+    letters = st.tuples(names, st.sampled_from(exponents))
+    leaves = st.one_of(
+        letters.map(lambda t: [t]),
+        letters.map(lambda t: [t, (t[0], -t[1])]),
+        st.tuples(names, st.integers(1, 2), st.integers(1, 2)).map(
+            lambda t: [(t[0], t[1]), (t[0], t[2]), (t[0], -t[1] - t[2])]
+        ),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=4).map(lambda ws: [x for w in ws for x in w]),
+            st.tuples(letters, inner).map(lambda t: [t[0], *t[1], (t[0][0], -t[0][1])]),
+        ),
+        max_leaves=25,
+    ).map(lambda w: tuple(w[:60]))
+
+
+rich_group_words = rich_words(tuple(GENS), (1, -1, 2, -2, 3))
+# f and g are bound to random reduced elements, so the surgery cuts along
+# trees other than the generators'
+bound_words = rich_words(("f", "g", "id"), (1, -1, 2, -2, 3, -3, 5, -5))
 points = st.integers(0, 14).flatmap(
     lambda e: st.tuples(st.integers(0, 2 ** e), st.just(e))
 ).map(lambda a: Dyadic(*a))
@@ -245,6 +260,26 @@ def test_eval_word_edge_cases():
     assert eval_word((("x0", 1), ("x0", -1), ("x1", 1)), GENS).pairs == X1.pairs
 
 
+@settings(max_examples=300, deadline=None)
+@given(reference_elements, reference_elements, bound_words)
+def test_eval_word_matches_left_fold_and_balanced_product(f, g, word):
+    assignment = {"f": f, "g": g, "id": IDENTITY}
+    got = eval_word(word, assignment).pairs
+    assert got == reference_eval_word(word, assignment).pairs
+    steps = [power(assignment[name], exp) for name, exp in word]
+    assert got == balanced_product(steps).pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_elements)
+def test_invert_and_flip_tables_are_reduced(f):
+    inverse, mirror = invert(f).pairs, flip(f).pairs
+    assert inverse == _reduce_pairs(inverse) == _reduce_pairs([(v, u) for u, v in f.pairs])
+    complement = str.maketrans("01", "10")
+    mirrored = [(u.translate(complement), v.translate(complement)) for u, v in reversed(f.pairs)]
+    assert mirror == _reduce_pairs(mirror) == _reduce_pairs(mirrored)
+
+
 def _merged_pairs(monkeypatch, evaluate_word) -> int:
     total = 0
     merge = element._merge
@@ -260,14 +295,24 @@ def _merged_pairs(monkeypatch, evaluate_word) -> int:
     return total
 
 
-def test_eval_word_merges_n_log_n_pairs(monkeypatch):
-    # carets(x1) = 3, and each piece of a level adds one pair to the merge
-    # input, so a level merges at most 4n pairs, over ceil(log2 n) levels
+def test_eval_word_merges_nothing_and_bounds_its_table(monkeypatch):
+    # the surgery splits at most carets(letter) leaves per letter, from one
+    # leaf, so the table it spells has at most 1 + sum |k| carets pairs;
+    # the balanced product of the same letters shows the merge counter works
     n = 4000
     rng = random.Random(20240817)
     word = tuple((rng.choice(("x0", "x1")), rng.choice((1, -1))) for _ in range(n))
-    bound = 4 * n * math.ceil(math.log2(n))
-    balanced = _merged_pairs(monkeypatch, lambda: eval_word(word, GENS))
-    left_fold = _merged_pairs(monkeypatch, lambda: reference_eval_word(word, GENS))
-    assert balanced <= bound
-    assert left_fold > bound
+    spelled = []
+    reduce_pairs = element._reduce_pairs
+
+    def recording_reduce(pairs):
+        spelled.append(len(pairs))
+        return reduce_pairs(pairs)
+
+    monkeypatch.setattr(element, "_reduce_pairs", recording_reduce)
+    # _merged_pairs undoes both patches once eval_word returns
+    assert _merged_pairs(monkeypatch, lambda: eval_word(word, GENS)) == 0
+    steps = [power(GENS[name], exp) for name, exp in word]
+    assert _merged_pairs(monkeypatch, lambda: balanced_product(steps)) > 0
+    carets = sum(abs(exp) * (len(GENS[name].pairs) - 1) for name, exp in word)
+    assert len(spelled) == 1 and spelled[0] <= 1 + carets
