@@ -305,10 +305,8 @@ def has_branch_pair(f: Element, u: Word, v: Word) -> bool:
 
 
 def flip(f: Element) -> Element:
-    """Conjugation by t -> 1-t: complement every word, reverse the order.
-
-    This maps the caret rows (p0, q0), (p1, q1) to the caret rows (p'0, q'0),
-    (p'1, q'1) of the complements p', q', and back: the table stays reduced."""
+    """Conjugation by t -> 1-t: complement every word, reverse the order. It maps
+    a caret's rows p0, p1 to the complements' p'1, p'0: the table stays reduced."""
     pairs = [(u.translate(_FLIP), v.translate(_FLIP)) for u, v in reversed(f.pairs)]
     return Element(pairs)
 
@@ -360,14 +358,12 @@ def _leaves(tree) -> list[tuple[int, Word]]:
 def _tree_product(factors: list[tuple[Element, int]]) -> Element:
     """The left-to-right product of f^k over the (f, k) factors, by tree surgery.
 
-    The product is a tree pair of nested [left, right] lists, domain leaf i
-    mapping onto range leaf i. Applying f cuts the range tree along f's domain
-    tree and regrows the pieces, in order, along f's range tree, one leaf of f
-    at a time; f^-1 swaps f's trees. A range leaf the cut descends through is
-    split with its domain partner: at most 1 + sum |k| carets(f) pairs to spell.
+    One tree pair of nested [left, right] lists, domain leaf i onto range leaf
+    i: applying f cuts the range tree along f's domain tree and regrows the
+    pieces, in order, along f's range tree (f^-1 swaps them), splitting a range
+    leaf the cut enters and its domain partner: at most 1 + sum |k| carets(f) pairs.
     """
-    programs = {}
-    top, rng = [0], 0
+    programs, top, rng = {}, [0], 0
     where = [(top, 0)]  # leaf id -> (parent list, side) in the domain tree
     for f, k in factors:
         if f not in programs:
@@ -409,10 +405,12 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
     into one run on a stack: x^a x^b becomes x^(a+b), a run summing to 0 is
     dropped and the fold cascades, so x0 x1 x1^-1 x0 gives x0^2. A lone run
     is one power. Several are multiplied by _tree_product: O(L) list moves and
-    no table merge, L the sum of |k| times the letter's carets over the
-    word's letters name^k, where the balanced product it replaced merged
-    O(L log n) pairs for n letters. On the bench's long_words that took the
-    medians from 339 to 595 requests/s and from 1.87 to 1.29 ms per request.
+    no table merge, L the sum of |k| carets(f) over the runs f^k, where the
+    balanced product it replaced merged O(L log n) pairs for n runs (bench
+    long_words medians: 339 -> 595 requests/s, 1.87 -> 1.29 ms per request).
+    Identity runs are dropped. f^k has about c + |k| b carets, c = carets(f)
+    and b = carets(f^2) - c, so with |k| and c over 8 and c > 4b the run is
+    cheaper squared by power first, which merges O((c + |k| b) log |k|) pairs.
     """
     runs: list[tuple[str, int]] = []
     for name, exp in word:
@@ -422,9 +420,12 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
             exp += runs.pop()[1]
         if exp:
             runs.append((name, exp))
-    if len(runs) > 1:
-        return _tree_product([(assignment[name], exp) for name, exp in runs])
-    return power(assignment[runs[0][0]], runs[0][1]) if runs else IDENTITY
+    steps = [(assignment[name], exp) for name, exp in runs if not assignment[name].is_identity()]
+    if len(steps) < 2:
+        return power(*steps[0]) if steps else IDENTITY
+    return _tree_product([(power(f, k), 1) if min(abs(k), len(f.pairs) - 1) > 8
+                          and 4 * (len(compose(f, f).pairs) - len(f.pairs)) < len(f.pairs) - 1
+                          else (f, k) for f, k in steps])
 
 
 # --- text codec -------------------------------------------------------------

@@ -10,6 +10,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from thompsonf import (
+    IDENTITY,
     X0,
     X1,
     compose,
@@ -215,6 +216,17 @@ def test_padded_witness_word_checks_fast():
     start = time.perf_counter()
     verdict = certify_normal_generation(cert)
     assert verdict.ok
+    assert time.perf_counter() - start < 5.0
+
+
+def test_huge_power_of_an_identity_partner_checks_fast(good):
+    # g = id makes g^(10^12) f cost what f does; the checker must not apply
+    # the identity 10^12 times to find the witness wrong
+    wit = replace(good.witnesses[0], word=(("g", 10**12), ("f", 1)))
+    cert = replace(good, g=IDENTITY, witnesses=(wit,) + good.witnesses[1:])
+    start = time.perf_counter()
+    verdict = certify_normal_generation(cert)
+    assert verdict.code == "witness-failed"
     assert time.perf_counter() - start < 5.0
 
 

@@ -32,6 +32,7 @@ from thompsonf import (
     power,
     slope_left,
     slope_right,
+    synthesize,
 )
 from thompsonf import element
 from thompsonf.element import _reduce_pairs
@@ -180,7 +181,7 @@ def rich_words(names, exponents):
 rich_group_words = rich_words(tuple(GENS), (1, -1, 2, -2, 3))
 # f and g are bound to random reduced elements, so the surgery cuts along
 # trees other than the generators'
-bound_words = rich_words(("f", "g", "id"), (1, -1, 2, -2, 3, -3, 5, -5))
+bound_words = rich_words(("f", "g", "id"), (1, -1, 2, -2, 3, -3, 5, -5, 9, -9))
 points = st.integers(0, 14).flatmap(
     lambda e: st.tuples(st.integers(0, 2 ** e), st.just(e))
 ).map(lambda a: Dyadic(*a))
@@ -258,6 +259,10 @@ def test_eval_word_edge_cases():
     with pytest.raises(UnknownSymbol):
         eval_word((("y", 1), ("y", -1)), {"x0": X0, "x1": X1})
     assert eval_word((("x0", 1), ("x0", -1), ("x1", 1)), GENS).pairs == X1.pairs
+    # only the identity has a huge power that stays small: its runs are dropped,
+    # not applied 10^12 times
+    assert eval_word((("id", 10**12), ("x0", 1)), GENS) == X0
+    assert eval_word((("x1", 1), ("id", -(10**12)), ("x0", 1)), GENS) == compose(X1, X0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,3 +321,29 @@ def test_eval_word_merges_nothing_and_bounds_its_table(monkeypatch):
     assert _merged_pairs(monkeypatch, lambda: balanced_product(steps)) > 0
     carets = sum(abs(exp) * (len(GENS[name].pairs) - 1) for name, exp in word)
     assert len(spelled) == 1 and spelled[0] <= 1 + carets
+
+
+def test_eval_word_squares_runs_whose_powers_grow_slowly(monkeypatch):
+    # f = h x0 h^-1 has 26 carets, but each power adds about two: applying f^k
+    # by surgery would move |k| carets(f) leaves, so power squares it first.
+    # The partner g of x0 at (1, 1) grows by 3 carets a power against its 11,
+    # and its runs stay in the surgery, as do runs of |k| <= 8.
+    rng = random.Random(7)
+    h = tuple((rng.choice(("x0", "x1")), rng.choice((1, -1))) for _ in range(60))
+    f = eval_word(h + (("x0", 1),) + tuple((a, -e) for a, e in reversed(h)), GENS)
+    g = synthesize(X0, 1, 1).g
+    assert (len(f.pairs), len(power(f, 2).pairs)) == (27, 29)
+    assert (len(g.pairs), len(power(g, 2).pairs)) == (12, 15)
+    calls, real_power = [], element.power
+
+    def counting_power(e, k):
+        calls.append(k)
+        return real_power(e, k)
+
+    monkeypatch.setattr(element, "power", counting_power)
+    word = (("f", 300), ("x1", 1), ("g", 40), ("f", -9), ("g", -2), ("f", 8))
+    assignment = {"f": f, "g": g, "x1": X1}
+    got = eval_word(word, assignment)
+    assert calls == [300, -9]
+    monkeypatch.undo()
+    assert got == balanced_product([power(assignment[name], k) for name, k in word])
