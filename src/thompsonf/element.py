@@ -21,6 +21,7 @@ from .words import (
     Dyadic,
     Word,
     check_word,
+    flip_word,
     is_complete_prefix_code,
     word_from_text,
     word_to_dyadic,
@@ -38,9 +39,6 @@ class LengthMismatch(ValueError):
 
 class UnknownSymbol(KeyError):
     """A group word uses a symbol with no assigned element."""
-
-
-_FLIP = str.maketrans("01", "10")
 
 
 def _reduce_pairs(pairs: list[tuple[Word, Word]]) -> tuple[tuple[Word, Word], ...]:
@@ -307,7 +305,7 @@ def has_branch_pair(f: Element, u: Word, v: Word) -> bool:
 def flip(f: Element) -> Element:
     """Conjugation by t -> 1-t: complement every word, reverse the order. It maps
     a caret's rows p0, p1 to the complements' p'1, p'0: the table stays reduced."""
-    pairs = [(u.translate(_FLIP), v.translate(_FLIP)) for u, v in reversed(f.pairs)]
+    pairs = [(flip_word(u), flip_word(v)) for u, v in reversed(f.pairs)]
     return Element(pairs)
 
 

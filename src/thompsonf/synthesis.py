@@ -51,7 +51,7 @@ from .element import (
     invert,
 )
 from .lattice import companion_rectangular, complete_basis, index_of
-from .words import Word
+from .words import Word, flip_word
 
 Tree = tuple[Word, ...]
 Row = tuple[Word, Word]
@@ -61,19 +61,26 @@ CARET: Tree = ("0", "1")
 X1_DOMAIN: Tree = ("0", "100", "101", "11")
 X1_RANGE: Tree = ("0", "10", "110", "111")
 
-_COMPLEMENT = str.maketrans("01", "10")
-
 
 @dataclass(frozen=True, slots=True)
 class SynthesisResult:
-    g: Element
     certificate: Certificate
     target: AbelianImage
     part: int
     blocks: Blocks
     block_word: GroupWord  # g or g^-1: the orientation whose table the blocks list
-    basis: tuple[tuple[int, int], tuple[int, int]]
-    index: int | float
+
+    @property
+    def g(self) -> Element:
+        return self.certificate.g
+
+    @property
+    def basis(self) -> tuple[tuple[int, int], tuple[int, int]]:  # images of f and g
+        return tuple(abelianize(self.certificate.f)), tuple(self.target)
+
+    @property
+    def index(self) -> int | float:
+        return index_of(self.basis)
 
 
 # --- tree carpentry -----------------------------------------------------------
@@ -131,14 +138,10 @@ def build_scaffold_tree(
 # --- certificate assembly -----------------------------------------------------
 
 
-def _flip_word(u: Word) -> Word:
-    return u.translate(_COMPLEMENT)
-
-
 def _flip_witness(wit: Witness) -> Witness:
     # mirroring is an automorphism, so the same group word carries the
     # complemented pair
-    return Witness(wit.word, _flip_word(wit.lhs), _flip_word(wit.rhs))
+    return Witness(wit.word, flip_word(wit.lhs), flip_word(wit.rhs))
 
 
 def _obligations(cert: Certificate) -> list[Word]:
@@ -203,27 +206,6 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     return replace(cert, witnesses=tuple(cert.witnesses[k] for k in sorted(kept)))
 
 
-def _finish(
-    cert: Certificate,
-    target: AbelianImage,
-    part: int,
-    blocks: Blocks,
-    block_word: GroupWord,
-) -> SynthesisResult:
-    """Wrap a certificate as an unchecked result; `_certified` judges it."""
-    basis = (tuple(abelianize(cert.f)), tuple(target))
-    return SynthesisResult(
-        g=cert.g,
-        certificate=cert,
-        target=target,
-        part=part,
-        blocks=blocks,
-        block_word=block_word,
-        basis=basis,
-        index=index_of(basis),
-    )
-
-
 def _certified(result: SynthesisResult) -> SynthesisResult:
     """The one check of a result, made on what is returned: g hits the
     target it is labelled with, and the emitted certificate passes.
@@ -248,7 +230,7 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
     branch length): the rigid right end of the original partner mirrors to
     rows fixing [0^{R+1}] pointwise and mapping [0^R 10] onto [0^R 1]."""
     cert = res.certificate
-    tree = tuple(_flip_word(b) for b in reversed(cert.tree))
+    tree = tuple(flip_word(b) for b in reversed(cert.tree))
     left = ShiftSchema(
         "0",
         tree[0],
@@ -268,7 +250,7 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
         f=f,
         g=flip(res.g),
         tree=tree,
-        w=_flip_word(cert.w),
+        w=flip_word(cert.w),
         witnesses=tuple(_flip_witness(x) for x in cert.witnesses),
         left_schema=left,
         right_schema=right,
@@ -278,10 +260,10 @@ def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
     new_cert = replace(new_cert, depth=_required_depth(new_cert))
     target = AbelianImage(res.target.at_one, res.target.at_zero)
     blocks = tuple(
-        (name, tuple((_flip_word(p), _flip_word(q)) for p, q in reversed(rows)))
+        (name, tuple((flip_word(p), flip_word(q)) for p, q in reversed(rows)))
         for name, rows in reversed(res.blocks)
     )
-    return _finish(new_cert, target, 3, blocks, res.block_word)
+    return SynthesisResult(new_cert, target, 3, blocks, res.block_word)
 
 
 # --- the constructions --------------------------------------------------------
@@ -305,8 +287,6 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
         tail_sign, m, ell = one_tail_pair(f)
     if not c:
         a = abelianize(f).at_zero
-        if a == 0:
-            raise PreconditionViolated("slope at 0+ is trivial")
         n0, m0 = zero_tail_pair(f if a > 0 else invert(f), "")
     triple = find_uvw(f)
     w = triple.w
@@ -387,49 +367,17 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     # it only filters query lengths, and _required_depth covers every word
     # the conditions query.
     cert = replace(cert, depth=_required_depth(cert))
-    return _finish(_prune_witnesses(cert), target, part, blocks, gword)
-
-
-def construct_part1(f: Element, c: int, d: int) -> SynthesisResult:
-    """Partner with image (c, d), both non-zero; works for every f != 1."""
-    if c == 0 or d == 0:
-        raise PreconditionViolated("interior construction needs c != 0 and d != 0")
-    return _certified(_construct(f, c, d))
-
-
-def construct_part2(f: Element, c: int) -> SynthesisResult:
-    """Partner with image (c, 0), c != 0; needs f of non-trivial slope at 1.
-
-    The right end is rigid, so the rightmost branch family cannot shift
-    along g; instead the scaffold grows an all-ones chain of length m and
-    the schema shifts along f's own tail pair 1^m -> 1^{m-l}."""
-    if c == 0:
-        raise PreconditionViolated("boundary construction needs c != 0")
-    return _certified(_construct(f, c, 0))
-
-
-def construct_part3(f: Element, d: int) -> SynthesisResult:
-    """Partner with image (0, d), d != 0; needs f of non-trivial slope at 0.
-
-    Mirror image of the (d, 0) construction applied to flip(f)."""
-    if d == 0:
-        raise PreconditionViolated("boundary construction needs d != 0")
-    return _certified(_flip_result(_construct(flip(f), d, 0), f))
-
-
-def construct_part4(f: Element) -> SynthesisResult:
-    """Partner inside the derived subgroup: image (0, 0); needs f of
-    non-trivial slope at both endpoints. Both ends are rigid and both
-    schemas shift along branch pairs of f."""
-    return _certified(_construct(f, 0, 0))
+    return SynthesisResult(_prune_witnesses(cert), target, part, blocks, gword)
 
 
 def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
-    """Partner g with abelianization image exactly (c, d).
+    """Partner g with abelianization image exactly (c, d), checked once.
 
     Feasible iff f is non-trivial and each zero coordinate of the target is
     backed by a non-trivial slope of f at that endpoint (c = 0 needs
-    slope-log a != 0 at 0+, d = 0 needs b != 0 at 1-)."""
+    slope-log a != 0 at 0+, d = 0 needs b != 0 at 1-), along whose tail
+    pair the rigid end shifts. A (0, d) partner, d != 0, mirrors the (d, 0)
+    partner of flip(f)."""
     if f.is_identity():
         raise IdentityInput("no partner for the identity")
     a, b = abelianize(f)
@@ -437,13 +385,9 @@ def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
         raise PreconditionViolated("target c = 0 needs f of non-trivial slope at 0+")
     if d == 0 and b == 0:
         raise PreconditionViolated("target d = 0 needs f of non-trivial slope at 1-")
-    if c != 0 and d != 0:
-        return construct_part1(f, c, d)
-    if c != 0:
-        return construct_part2(f, c)
-    if d != 0:
-        return construct_part3(f, d)
-    return construct_part4(f)
+    if c == 0 != d:
+        return _certified(_flip_result(_construct(flip(f), d, 0), f))
+    return _certified(_construct(f, c, d))
 
 
 def complete_generating_pair(f: Element) -> SynthesisResult:

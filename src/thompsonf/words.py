@@ -73,6 +73,14 @@ def interval_less(u: Word, v: Word) -> bool:
     return u < v
 
 
+_COMPLEMENT = str.maketrans("01", "10")
+
+
+def flip_word(u: Word) -> Word:
+    """The complement of u: [flip_word(u)] is the mirror of [u] under t -> 1 - t."""
+    return u.translate(_COMPLEMENT)
+
+
 def in_B_prime(u: Word) -> bool:
     """True iff u contains both digits (neither empty, all-0s nor all-1s)."""
     return "0" in u and "1" in u
@@ -87,11 +95,13 @@ class Dyadic:
 
     def __post_init__(self):
         num, exp = self.num, self.exp
-        if exp < 0 or num < 0 or num > (1 << exp):
+        size = num.bit_length() - exp - 1  # 0 iff 2^exp <= num < 2^(exp + 1)
+        if exp < 0 or num < 0 or size > 0 or (size == 0 and num & (num - 1)):
             raise ValueError(f"not a normalized dyadic in [0,1]: {num}/2^{exp}")
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        # every trailing zero of num in one shift, at most exp; 0 becomes 0/2^0
+        shift = min((num & -num).bit_length() - 1, exp) if num else exp
+        num >>= shift
+        exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

@@ -28,7 +28,6 @@ from thompsonf.element import (
     image_of_interval,
     invert,
 )
-from thompsonf.lattice import index_of
 from thompsonf.words import Word, is_complete_prefix_code
 
 Relation = tuple[Word, Word]
@@ -310,14 +309,9 @@ def invert_result(res):
         right_schema=replace(cert.right_schema, witness=inv_witness(cert.right_schema.witness)),
         slope=SlopeWitness(inv_word(cert.slope.word), cert.slope.alpha),
     )
-    target = AbelianImage(-res.target.at_zero, -res.target.at_one)
-    basis = (tuple(abelianize(cert.f)), tuple(target))
     return replace(
         res,
-        g=new_cert.g,
         certificate=new_cert,
-        target=target,
+        target=AbelianImage(-res.target.at_zero, -res.target.at_one),
         block_word=inv_word(res.block_word),
-        basis=basis,
-        index=index_of(basis),
     )

@@ -35,7 +35,6 @@ from thompsonf.certify import (
 )
 from thompsonf.cli import random_nontrivial
 from thompsonf.lattice import companion_rectangular, index_of
-from thompsonf.synthesis import construct_part1
 
 from conftest import GENS
 from oracles import brute_force_relations, enumerate_ball, relation
@@ -75,7 +74,7 @@ def test_criterion_1_group_axioms_and_presentation():
 def test_criterion_2_worked_construction():
     budget = 1.0
     t0 = time.perf_counter()
-    res = construct_part1(X0, 1, 1)
+    res = synthesize(X0, 1, 1)
     cert = res.certificate
     blocks = dict(res.blocks)
     blocks_ok = (
@@ -104,7 +103,7 @@ def test_criterion_2_worked_construction():
     verdict = certify_normal_generation(cert)
     elapsed = time.perf_counter() - t0
     ok = blocks_ok and fixed_row_ok and image_ok and slope_ok and verdict.ok and elapsed < budget
-    report(2, ok, "construct_part1(x0,1,1) reproduces blocks A/B/C, image (1,1), PASS", elapsed, budget)
+    report(2, ok, "synthesize(x0,1,1) reproduces blocks A/B/C, image (1,1), PASS", elapsed, budget)
     assert blocks_ok and fixed_row_ok and image_ok and slope_ok and verdict.ok
     assert elapsed < budget
 
@@ -117,10 +116,11 @@ def test_criterion_3_end_to_end_corpus():
     entries = corpus_entries(0, 50)
     exact = sum(
         1
-        for _, f, target, result, verdict in entries
-        if verdict.ok and tuple(abelianize(result.g)) == target
+        for _, f, target, result in entries
+        if certify_normal_generation(result.certificate).ok
+        and tuple(abelianize(result.g)) == target
     )
-    parts = {result.part for _, _, _, result, _ in entries}
+    parts = {result.part for _, _, _, result in entries}
     elapsed = time.perf_counter() - t0
     ok = exact == 50 and parts == {1, 2, 3, 4} and elapsed < budget
     report(3, ok, f"seed 0: {exact}/50 exact images and PASS, parts hit: {sorted(parts)}", elapsed, budget)
@@ -187,7 +187,7 @@ def test_criterion_6_oracle_equivalence():
     t0 = time.perf_counter()
     entries = corpus_entries(0, 10)
     witness_ok = realized_ok = True
-    for _, f, _, result, _ in entries:
+    for _, f, _, result in entries:
         g = result.g
         cert = result.certificate
         rels = brute_force_relations(f, g, 4, 6)
@@ -249,7 +249,7 @@ def test_criterion_8_determinism():
 
     def run_once(seed):
         out = []
-        for word, f, target, result, verdict in corpus_entries(seed, 12):
+        for word, f, target, result in corpus_entries(seed, 12):
             out.append(
                 (
                     tuple(word),
@@ -257,7 +257,7 @@ def test_criterion_8_determinism():
                     target,
                     result.g.pairs,
                     certificate_to_json(result.certificate),
-                    verdict.code,
+                    certify_normal_generation(result.certificate).code,
                 )
             )
         return out

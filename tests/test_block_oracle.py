@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thompsonf import X0, flip, invert, synthesis, synthesize
+from thompsonf import X0, flip, invert, synthesize
 from thompsonf.cli import corpus_entries, random_nontrivial
 from thompsonf.dynamics import PreconditionViolated
 
@@ -103,7 +103,7 @@ def assert_blocks_match(f, result):
     """The emitted blocks equal the builders' rows on the result's own scaffold."""
     if result.part == 3:
         mirrored = result
-        result = synthesis.construct_part2(flip(f), result.target.at_one)
+        result = synthesize(flip(f), result.target.at_one, 0)
         assert mirrored.blocks == mirror(result.blocks)
     cert = result.certificate
     c, d = result.target
@@ -115,7 +115,7 @@ def assert_blocks_match(f, result):
 
 @pytest.mark.parametrize("seed", [0, 9, 10])
 def test_corpus_blocks_match_builders(seed):
-    for _, f, _, result, _ in corpus_entries(seed, 50):
+    for _, f, _, result in corpus_entries(seed, 50):
         assert_blocks_match(f, result)
 
 

@@ -35,7 +35,7 @@ def _stdlib(cert) -> str:
 
 
 def _certificates():
-    for i, (_, _, target, result, _) in enumerate(corpus_entries(0, 50)):
+    for i, (_, _, target, result) in enumerate(corpus_entries(0, 50)):
         yield f"corpus-0-{i}-{target}", result.certificate
     for k in (1, 6, 12, 24, 48):
         for c in (k, -k):

@@ -28,16 +28,10 @@ from thompsonf import (
 from thompsonf.dynamics import IdentityInput, PreconditionViolated
 from thompsonf import synthesis
 from thompsonf.certify import certificate_to_json
-from thompsonf.cli import random_nontrivial
-from thompsonf.lattice import INFINITE
-from thompsonf.synthesis import (
-    build_scaffold_tree,
-    complete_tree,
-    construct_part1,
-    construct_part2,
-    construct_part3,
-    construct_part4,
-)
+from thompsonf import cli
+from thompsonf.cli import corpus_entries, random_nontrivial, run
+from thompsonf.lattice import INFINITE, index_of
+from thompsonf.synthesis import build_scaffold_tree, complete_tree
 
 from conftest import elements
 from oracles import invert_result, self_check_blocks
@@ -69,7 +63,7 @@ X0_BLOCK_C = (
 
 
 def test_part1_canonical_example():
-    res = construct_part1(X0, 1, 1)
+    res = synthesize(X0, 1, 1)
     cert = res.certificate
     assert cert.w == "01"
     assert cert.tree == X0_TREE
@@ -87,26 +81,26 @@ def test_part1_canonical_example():
 
 def test_part1_blocks_tile_the_interval():
     for target in ((1, 1), (-2, 3), (2, -3), (-1, -1)):
-        res = construct_part1(X0, *target)
+        res = synthesize(X0, *target)
         self_check_blocks(res)
         assert res.part == 1
 
 
 def test_part2_and_its_flip():
-    res2 = construct_part2(X0, 2)
+    res2 = synthesize(X0, 2, 0)
     assert res2.part == 2
     assert abelianize(res2.g) == AbelianImage(2, 0)
     self_check_blocks(res2)
-    res3 = construct_part3(X0, 2)
+    res3 = synthesize(X0, 0, 2)
     assert res3.part == 3
     assert abelianize(res3.g) == AbelianImage(0, 2)
     self_check_blocks(res3)
     # part 3 is exactly the mirror of part 2 applied to the mirrored input
-    assert res3.g == flip(construct_part2(flip(X0), 2).g)
+    assert res3.g == flip(synthesize(flip(X0), 2, 0).g)
 
 
 def test_part4_lands_in_derived_subgroup():
-    res = construct_part4(X0)
+    res = synthesize(X0, 0, 0)
     assert res.part == 4
     assert abelianize(res.g) == AbelianImage(0, 0)
     assert res.index == INFINITE
@@ -245,22 +239,39 @@ def test_witnesses_are_minimal(rng):
 
 
 @pytest.mark.parametrize(
-    "build, args, part",
+    "build, args, part, argv",
     [
-        pytest.param(synthesize, (X0, 1, 1), 1, id="synthesize-part1"),
-        pytest.param(synthesize, (X0, -2, 3), 1, id="synthesize-part1-negative-c"),
-        pytest.param(synthesize, (X0, 2, 0), 2, id="synthesize-part2"),
-        pytest.param(synthesize, (X0, 0, -3), 3, id="synthesize-part3"),
-        pytest.param(synthesize, (X0, 0, 0), 4, id="synthesize-part4"),
-        pytest.param(construct_part1, (X0, 2, -1), 1, id="construct_part1"),
-        pytest.param(construct_part2, (X0, -2), 2, id="construct_part2"),
-        pytest.param(construct_part3, (X0, 2), 3, id="construct_part3"),
-        pytest.param(construct_part4, (X0,), 4, id="construct_part4"),
-        pytest.param(complete_generating_pair, (X0,), 2, id="complete_generating_pair"),
-        pytest.param(finite_index_pair, (power(X0, 2),), 3, id="finite_index_pair"),
+        pytest.param(
+            synthesize, (X0, 1, 1), 1, ["synthesize", "x0", "--target", "1,1"],
+            id="synthesize-part1",
+        ),
+        pytest.param(
+            synthesize, (X0, -2, 3), 1, ["synthesize", "x0", "--target", "-2,3"],
+            id="synthesize-part1-negative-c",
+        ),
+        pytest.param(
+            synthesize, (X0, 2, 0), 2, ["synthesize", "x0", "--target", "2,0"],
+            id="synthesize-part2",
+        ),
+        pytest.param(
+            synthesize, (X0, 0, -3), 3, ["synthesize", "x0", "--target", "0,-3"],
+            id="synthesize-part3",
+        ),
+        pytest.param(
+            synthesize, (X0, 0, 0), 4, ["synthesize", "x0", "--target", "0,0"],
+            id="synthesize-part4",
+        ),
+        pytest.param(
+            complete_generating_pair, (X0,), 2, ["complete-pair", "x0"],
+            id="complete_generating_pair",
+        ),
+        pytest.param(
+            finite_index_pair, (power(X0, 2),), 3, ["finite-index", "x0^2"],
+            id="finite_index_pair",
+        ),
     ],
 )
-def test_each_result_is_certified_once(monkeypatch, build, args, part):
+def test_each_result_is_certified_once(monkeypatch, capsys, build, args, part, argv):
     # mirroring and pruning preserve validity, and the sign of a negative
     # target is set while the certificate is built; only the emitted
     # certificate is checked, once
@@ -271,9 +282,23 @@ def test_each_result_is_certified_once(monkeypatch, build, args, part):
         return certify_normal_generation(cert, *rest)
 
     monkeypatch.setattr(synthesis, "certify_normal_generation", counting)
+    monkeypatch.setattr(cli, "certify_normal_generation", counting)
     res = build(*args)
     assert res.part == part
     assert calls == [res.certificate]
+    # g, basis and index are read off the certificate and the target
+    assert res.g is res.certificate.g
+    assert res.basis == (tuple(abelianize(args[0])), tuple(res.target))
+    assert res.index == index_of(res.basis)
+
+    # the command line prints the verdict of that check and makes no other
+    calls.clear()
+    assert run(argv) == 0
+    assert calls == [res.certificate]
+    assert capsys.readouterr().out.endswith("\nPASS\n")
+    calls.clear()
+    entries = corpus_entries(0, 8)
+    assert calls == [result.certificate for _, _, _, result in entries]
 
 
 def test_output_guards_survive_optimized_mode():

@@ -50,6 +50,18 @@ def test_range_is_unit_interval():
         Dyadic(5, 2)
     with pytest.raises(ValueError):
         Dyadic(1, -1)
+    with pytest.raises(ValueError):
+        Dyadic(8, 2)
+    assert Dyadic(4, 2) == ONE
+
+
+def test_huge_exponents_normalize_at_once():
+    # neither the range check nor the normalization walks the exponent
+    assert Dyadic(0, 10**12) == Dyadic(0, 0)
+    assert Dyadic(3 << 40, 50) == Dyadic(3, 10)
+    assert Dyadic(1 << 64, 64) == ONE
+    with pytest.raises(ValueError):
+        Dyadic((1 << 64) + 1, 64)
 
 
 def test_display():
