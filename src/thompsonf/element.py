@@ -26,6 +26,7 @@ from .words import (
     word_from_text,
     word_to_dyadic,
     word_to_text,
+    words_from_texts,
 )
 
 
@@ -317,24 +318,32 @@ GroupWord = tuple[tuple[str, int], ...]
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_group_word(text: str) -> GroupWord:
-    """Whitespace-separated tokens 'name' or 'name^k' with k a non-zero integer.
+def _parse_token(token: str) -> tuple[str, int]:
+    """One token 'name' or 'name^k' with k a non-zero integer.
 
     k is ASCII digits with an optional sign: int() alone would also take
     'x0^' as x0, other scripts' digits and underscores.
     """
-    letters: list[tuple[str, int]] = []
-    for token in text.split():
-        name, caret, exp_s = token.partition("^")
-        if not name:
-            raise ValueError(f"bad group-word token: {token!r}")
-        if caret and not _EXPONENT.fullmatch(exp_s):
-            raise ValueError(f"bad exponent in group word: {token!r}")
-        exp = int(exp_s) if caret else 1
-        if exp == 0:
-            raise ValueError(f"zero exponent in group word: {token!r}")
-        letters.append((name, exp))
-    return tuple(letters)
+    name, caret, exp_s = token.partition("^")
+    if not name:
+        raise ValueError(f"bad group-word token: {token!r}")
+    if caret and not _EXPONENT.fullmatch(exp_s):
+        raise ValueError(f"bad exponent in group word: {token!r}")
+    exp = int(exp_s) if caret else 1
+    if exp == 0:
+        raise ValueError(f"zero exponent in group word: {token!r}")
+    return name, exp
+
+
+def parse_group_word(text: str) -> GroupWord:
+    """Whitespace-separated tokens, each parsed by _parse_token.
+
+    The text is split once and each distinct token parsed once, in order of
+    first occurrence, so the first bad token in the text is the one reported.
+    """
+    tokens = text.split()
+    letters = {token: _parse_token(token) for token in dict.fromkeys(tokens)}
+    return tuple(map(letters.__getitem__, tokens))
 
 
 def format_group_word(word: GroupWord) -> str:
@@ -436,7 +445,8 @@ def format_element(f: Element) -> str:
     ) + "\n"
 
 
-def parse_element(text: str) -> Element:
+def _pairs_by_line(text: str) -> list[tuple[Word, Word]]:
+    """Branch pairs of 'u -> v' lines; '#' starts a comment, blank lines are skipped."""
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -448,4 +458,27 @@ def parse_element(text: str) -> Element:
         pairs.append((word_from_text(parts[0].strip()), word_from_text(parts[1].strip())))
     if not pairs:
         raise ValueError("no branch pairs found")
+    return pairs
+
+
+def parse_element(text: str) -> Element:
+    """The element of a branch-pair table, read back from format_element's text.
+
+    Text in exactly format_element's layout, with no '#' and no '->' inside a
+    word, is split once and its words are checked in one C scan: reading it
+    line by line would give the same pairs. Any other text is read line by line.
+    """
+    tokens = text.split()
+    rows = text.count("\n")
+    if (
+        rows
+        and len(tokens) == 3 * rows == 3 * text.count("->")
+        and "#" not in text
+        and "".join([f"{u} -> {v}\n" for u, v in zip(tokens[::3], tokens[2::3])]) == text
+    ):
+        del tokens[1::3]
+        words = words_from_texts(tokens)
+        pairs = [*zip(words[::2], words[1::2])]
+    else:
+        pairs = _pairs_by_line(text)
     return from_branch_pairs(pairs)

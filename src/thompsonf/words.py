@@ -11,8 +11,10 @@ No floating point anywhere: dyadics are normalized integer pairs.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 Word = str
 
@@ -86,6 +88,17 @@ def in_B_prime(u: Word) -> bool:
     return "0" in u and "1" in u
 
 
+# 0, no limit, where Python predates the int-to-str digit limit
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", int)
+
+
+@lru_cache(maxsize=1)
+def _decimal_overflow_exp(limit: int) -> int:
+    """The least e with 2^e of more than `limit` decimal digits, i.e. 2^e >=
+    10^limit; 10^limit is no power of two, so e is its bit length."""
+    return (10**limit).bit_length()
+
+
 @dataclass(frozen=True, slots=True)
 class Dyadic:
     """Exact k/2^n in [0,1], normalized (odd numerator unless exponent 0)."""
@@ -149,7 +162,14 @@ class Dyadic:
         return "." + format(self.num, f"0{self.exp}b")
 
     def __str__(self) -> str:
-        return f"{self.num}/{2 ** self.exp}" if self.exp else str(self.num)
+        """'num/den' in decimal, or binary_str() where den = 2^exp has more
+        decimal digits than Python converts (sys.get_int_max_str_digits)."""
+        if not self.exp:
+            return str(self.num)
+        limit = _int_max_str_digits()
+        if limit and self.exp >= _decimal_overflow_exp(limit):
+            return self.binary_str()
+        return f"{self.num}/{1 << self.exp}"
 
 
 ZERO = Dyadic(0, 0)

@@ -7,10 +7,13 @@ returns. They stay small and obviously correct instead of fast.
 node, which the flat, prefix-indexed `SuffixCongruence` replaced,
 `reference_is_complete_prefix_code` the scan that the C-loop check replaced,
 `reference_rectangular_split` the trial division that the lattice's
-gcd peeling replaced, and `balanced_product` the pairwise table merging that
-tree surgery replaced in `eval_word` and `thompsonf compose`.
+gcd peeling replaced, `balanced_product` the pairwise table merging that
+tree surgery replaced in `eval_word` and `thompsonf compose`, and
+`reference_parse_element` / `reference_parse_group_word` the line-by-line and
+token-by-token loops that the split-once text parsers replaced.
 """
 
+import re
 from collections import defaultdict, deque
 from dataclasses import replace
 from math import gcd
@@ -24,11 +27,12 @@ from thompsonf.element import (
     abelianize,
     compose,
     eval_word,
+    from_branch_pairs,
     from_codes,
     image_of_interval,
     invert,
 )
-from thompsonf.words import Word, is_complete_prefix_code
+from thompsonf.words import Word, is_complete_prefix_code, word_from_text
 
 Relation = tuple[Word, Word]
 
@@ -243,6 +247,41 @@ def reference_is_complete_prefix_code(branches) -> bool:
         pos_num = (pos_num << (e - pos_exp)) + (1 << (e - len(u)))
         pos_exp = e
     return pos_num == (1 << pos_exp)
+
+
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_parse_group_word(text: str) -> GroupWord:
+    """Each whitespace-separated token 'name' or 'name^k' parsed in turn."""
+    letters: list[tuple[str, int]] = []
+    for token in text.split():
+        name, caret, exp_s = token.partition("^")
+        if not name:
+            raise ValueError(f"bad group-word token: {token!r}")
+        if caret and not _EXPONENT.fullmatch(exp_s):
+            raise ValueError(f"bad exponent in group word: {token!r}")
+        exp = int(exp_s) if caret else 1
+        if exp == 0:
+            raise ValueError(f"zero exponent in group word: {token!r}")
+        letters.append((name, exp))
+    return tuple(letters)
+
+
+def reference_parse_element(text: str) -> Element:
+    """Each 'u -> v' line read in turn, '#' comments and blank lines skipped."""
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("->")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u -> v', got {raw!r}")
+        pairs.append((word_from_text(parts[0].strip()), word_from_text(parts[1].strip())))
+    if not pairs:
+        raise ValueError("no branch pairs found")
+    return from_branch_pairs(pairs)
 
 
 def prime_factors(n: int) -> dict[int, int]:

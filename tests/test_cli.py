@@ -39,6 +39,13 @@ def test_eval_matches_documented_example():
     assert out == "1/2\n"
 
 
+def test_eval_prints_a_point_past_the_int_to_str_limit():
+    rc, out, _ = go(["eval", "x0", "1/2^20000"])
+    assert rc == 0
+    assert out == "." + "0" * 19998 + "1\n"
+    assert go(["eval", "x0", "3/8"]) == (0, "5/8\n", "")
+
+
 def test_abelianize_matches_documented_example():
     rc, out, _ = go(["abelianize", "x1"])
     assert rc == 0

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,18 @@ def test_display():
     assert Dyadic(1, 1).to_word() == "1"
     with pytest.raises(ValueError):
         ONE.to_word()
+
+
+def test_display_past_the_int_to_str_limit_reads_back():
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this Python converts ints of any size to decimal")
+    e = (10**limit).bit_length()  # the least exponent whose 2^e passes the limit
+    below, past, full = Dyadic(3, e - 1), Dyadic(3, e), Dyadic((1 << e) - 1, e)
+    assert str(below) == f"3/{1 << (e - 1)}"
+    assert str(past) == past.binary_str()
+    for d in (below, past, full):
+        assert parse_dyadic(str(d)) == d
 
 
 @pytest.mark.parametrize(
