@@ -54,7 +54,7 @@ from .synthesis import (
     finite_index_pair,
     synthesize,
 )
-from .words import parse_dyadic, word_to_text
+from .words import _int_max_str_digits, parse_dyadic, word_to_text
 
 _BUILTINS = {"x0": X0, "x1": X1, "id": IDENTITY}
 
@@ -103,7 +103,11 @@ def _cmd_flip(args) -> int:
 def _cmd_eval(args) -> int:
     value = evaluate(resolve_element(args.element), parse_dyadic(args.point))
     if args.json:
-        print(json.dumps({"num": value.num, "exp": value.exp, "value": str(value)}))
+        num: int | str = value.num
+        limit = _int_max_str_digits()
+        if limit and num >= 10**limit:  # past what json writes or reads as an int
+            num = format(num, "b")
+        print(json.dumps({"num": num, "exp": value.exp, "value": str(value)}))
     else:
         print(value)
     return 0

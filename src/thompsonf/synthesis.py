@@ -20,9 +20,9 @@ after the four rows under [w10]:
 Rigid ends cannot prove their own one-sided branch family, so there the
 certificate's shift schema leans on a branch pair of f itself - which is
 why the boundary targets need f to have non-trivial slope at that endpoint.
-Negative c builds the surgery for (-c, -d) and takes g as its inverse, a
-sign on every g-letter of the certificate since <f, g> = <f, g^-1>;
-c = 0 with d != 0 mirrors the (d, 0) partner of flip(f) through t -> 1 - t.
+A target whose first non-zero coordinate is negative builds the surgery
+for (-c, -d) and takes g as its inverse, a sign on every g-letter of the
+certificate since <f, g> = <f, g^-1>; so c = 0 takes the sign of d.
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ from .element import (
     Element,
     GroupWord,
     abelianize,
-    flip,
     from_codes,
     invert,
 )
 from .lattice import companion_rectangular, complete_basis, index_of
-from .words import Word, flip_word
+from .words import Word
 
 Tree = tuple[Word, ...]
 Row = tuple[Word, Word]
@@ -138,12 +137,6 @@ def build_scaffold_tree(
 # --- certificate assembly -----------------------------------------------------
 
 
-def _flip_witness(wit: Witness) -> Witness:
-    # mirroring is an automorphism, so the same group word carries the
-    # complemented pair
-    return Witness(wit.word, flip_word(wit.lhs), flip_word(wit.rhs))
-
-
 def _obligations(cert: Certificate) -> list[Word]:
     """w and every word `conditions_error` requires to be related to it:
     the checker's queried words and the base members of both schemas."""
@@ -210,60 +203,14 @@ def _certified(result: SynthesisResult) -> SynthesisResult:
     """The one check of a result, made on what is returned: g hits the
     target it is labelled with, and the emitted certificate passes.
 
-    Mirroring preserves validity, and pruning only drops witnesses, so
-    the unpruned or unmirrored certificates need no check of their own: a
-    fault in any of those steps shows up here."""
+    Pruning only drops witnesses, so the unpruned certificate needs no
+    check of its own: a fault in the surgery or the pruner shows up here."""
     if abelianize(result.g) != result.target:
         raise AssertionError("partner misses its abelianization target")
     check = certify_normal_generation(result.certificate)
     if not check.ok:
         raise AssertionError(f"pruned certificate rejected: {check}")
     return result
-
-
-def _flip_result(res: SynthesisResult, f: Element) -> SynthesisResult:
-    """Mirror a partner for flip(f) through t -> 1 - t.
-
-    Mirroring complements every word and reverses branch order, swaps the
-    two schemas, and swaps one-sided slopes - so the slope witness cannot
-    carry over. A fresh one exists at .0^R 1 (R the mirrored tree's leftmost
-    branch length): the rigid right end of the original partner mirrors to
-    rows fixing [0^{R+1}] pointwise and mapping [0^R 10] onto [0^R 1]."""
-    cert = res.certificate
-    tree = tuple(flip_word(b) for b in reversed(cert.tree))
-    left = ShiftSchema(
-        "0",
-        tree[0],
-        "1",
-        _flip_witness(cert.right_schema.witness),
-        cert.right_schema.base_count,
-    )
-    right = ShiftSchema(
-        "1",
-        tree[-1],
-        "0",
-        _flip_witness(cert.left_schema.witness),
-        cert.left_schema.base_count,
-    )
-    gamma = "0" * len(cert.tree[-1]) + "1"
-    new_cert = Certificate(
-        f=f,
-        g=flip(res.g),
-        tree=tree,
-        w=flip_word(cert.w),
-        witnesses=tuple(_flip_witness(x) for x in cert.witnesses),
-        left_schema=left,
-        right_schema=right,
-        slope=SlopeWitness(cert.slope.word, gamma),
-        depth=cert.depth,
-    )
-    new_cert = replace(new_cert, depth=_required_depth(new_cert))
-    target = AbelianImage(res.target.at_one, res.target.at_zero)
-    blocks = tuple(
-        (name, tuple((flip_word(p), flip_word(q)) for p, q in reversed(rows)))
-        for name, rows in reversed(res.blocks)
-    )
-    return SynthesisResult(new_cert, target, 3, blocks, res.block_word)
 
 
 # --- the constructions --------------------------------------------------------
@@ -276,12 +223,13 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     2^-d at 1, where d < 0 is the same surgery with domain and range
     swapped right of [w1], its shift witness carried by g^-1. An end whose
     coordinate is 0 is rigid: the scaffold grows a chain there and the
-    schema shifts along f's own tail pair instead. Negative c builds the
-    surgery for (-c, -d) and takes g as its inverse: <f, g> = <f, g^-1>,
-    so the certificate is the same but for the sign of every g-letter."""
+    schema shifts along f's own tail pair instead. A negative first non-zero
+    coordinate (c < 0, or c = 0 and d < 0) builds the surgery for (-c, -d)
+    and takes g as its inverse: <f, g> = <f, g^-1>, so the certificate is
+    the same but for the sign of every g-letter."""
     target = AbelianImage(c, d)
     part = 4 - 2 * (c != 0) - (d != 0)  # 1: (c, d), 2: (c, 0), 3: (0, d), 4: (0, 0)
-    sign = -1 if c < 0 else 1
+    sign = -1 if (c or d) < 0 else 1
     c, d = sign * c, sign * d
     if not d:
         tail_sign, m, ell = one_tail_pair(f)
@@ -376,8 +324,8 @@ def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
     Feasible iff f is non-trivial and each zero coordinate of the target is
     backed by a non-trivial slope of f at that endpoint (c = 0 needs
     slope-log a != 0 at 0+, d = 0 needs b != 0 at 1-), along whose tail
-    pair the rigid end shifts. A (0, d) partner, d != 0, mirrors the (d, 0)
-    partner of flip(f)."""
+    pair the rigid end shifts. Every target goes through the one surgery;
+    with c = 0 the sign of d picks between g and g^-1."""
     if f.is_identity():
         raise IdentityInput("no partner for the identity")
     a, b = abelianize(f)
@@ -385,8 +333,6 @@ def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
         raise PreconditionViolated("target c = 0 needs f of non-trivial slope at 0+")
     if d == 0 and b == 0:
         raise PreconditionViolated("target d = 0 needs f of non-trivial slope at 1-")
-    if c == 0 != d:
-        return _certified(_flip_result(_construct(flip(f), d, 0), f))
     return _certified(_construct(f, c, d))
 
 

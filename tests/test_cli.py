@@ -1,11 +1,15 @@
 import io
 import json
 import contextlib
+import random
 from dataclasses import replace
 
 import pytest
 
-from thompsonf import X0, X1, certify_normal_generation, compose, invert, parse_element, synthesis
+from thompsonf import (
+    X0, X1, certify_normal_generation, compose, evaluate, invert, parse_dyadic,
+    parse_element, synthesis,
+)
 from thompsonf.cli import corpus_entries, resolve_element, run
 
 
@@ -44,6 +48,19 @@ def test_eval_prints_a_point_past_the_int_to_str_limit():
     assert rc == 0
     assert out == "." + "0" * 19998 + "1\n"
     assert go(["eval", "x0", "3/8"]) == (0, "5/8\n", "")
+
+
+def test_eval_json_writes_a_num_past_the_int_to_str_limit_in_binary():
+    point = "." + "".join(random.Random(0).choice("01") for _ in range(20000)) + "1"
+    rc, out, _ = go(["eval", "--json", "x0", point])
+    assert rc == 0
+    value = evaluate(X0, parse_dyadic(point))
+    assert json.loads(out) == {
+        "num": format(value.num, "b"), "exp": value.exp, "value": str(value)
+    }
+    assert go(["eval", "--json", "x0", "3/8"]) == (
+        0, '{"num": 5, "exp": 3, "value": "5/8"}\n', ""
+    )
 
 
 def test_abelianize_matches_documented_example():
