@@ -472,8 +472,8 @@ def conditions_error(
     Returns (code, detail) for the first violated condition, None if all
     hold. Witness verification and the slope check live elsewhere; this is
     the piece that depends on which relation seeds are available, so the
-    caller builds the closure (the checker from every seed of the
-    certificate, the pruner from every seed once, before its trials).
+    caller builds the closure from every seed of the certificate. The
+    pruner does not call it: it tracks the weight of w's class instead.
 
     This is the saturation of the seeds bounded at `bound` once `bound`
     reaches the longest seed word, which the checker requires: every merge

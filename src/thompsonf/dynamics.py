@@ -1,17 +1,17 @@
-"""Branch-level dynamics: fixed boundaries and endpoint tail pairs.
+"""Branch-level dynamics: fixed boundaries, tail pairs and the moved triple.
 
 These are the extractions the synthesis needs from an input element f:
 the maximal left interval [0, alpha] that f fixes pointwise, the pair of
-branches .s0^n -> .s0^m starting at alpha, the interval triple
-[u] < [v] < [w] carried by f or its inverse, and the all-ones tail pair
-1^m -> 1^{m-l} at the right endpoint.
+branches .s0^n -> .s0^m starting at alpha, and the interval triple
+[u] < [v] < [w] carried by f or its inverse. The tail pair at 1 is the
+one at 0 of the flipped element (`synthesis._tail_pair`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .element import Element, _find_branch, abelianize, has_branch_pair, invert
+from .element import Element, _find_branch, has_branch_pair, invert
 from .words import Word, in_B_prime, interval_less
 
 
@@ -88,12 +88,11 @@ def find_uvw(f: Element) -> UVWTriple:
     sp = left_fixed_boundary(f)
     try:
         n, m = zero_tail_pair(f, sp)
-        sign = 1
-        h = f
+        sign, h = 1, f
     except PreconditionViolated:
-        n, m = zero_tail_pair(invert(f), sp)
-        sign = -1
         h = invert(f)
+        n, m = zero_tail_pair(h, sp)
+        sign = -1
     u = sp + "0" * (2 * n - m) + "1"
     v = sp + "0" * n + "1"
     w = sp + "0" * m + "1"
@@ -106,25 +105,3 @@ def find_uvw(f: Element) -> UVWTriple:
     if not (has_branch_pair(h, u, v) and has_branch_pair(h, v, w)):
         raise PreconditionViolated(f"element does not carry {u!r} -> {v!r} -> {w!r}")
     return UVWTriple(sign, u, v, w)
-
-
-def one_tail_pair(f: Element) -> tuple[int, int, int]:
-    """(sign, m, l): the element h = f^sign with h'(1-) > 1 has 1^m -> 1^{m-l}.
-
-    Read off h's last reduced pair (always all-ones on both sides);
-    m > l >= 1. Requires slope-log of f at 1- to be non-zero.
-    """
-    b = abelianize(f).at_one
-    if b == 0:
-        raise PreconditionViolated("slope at 1- is trivial")
-    sign = 1 if b > 0 else -1
-    h = f if b > 0 else invert(f)
-    u, v = h.pairs[-1]
-    m, ell = len(u), len(u) - len(v)
-    if not (set(u) <= {"1"} and set(v) <= {"1"} and m > ell >= 1):
-        raise PreconditionViolated(
-            f"last pair {u!r} -> {v!r} is not an all-ones tail pair"
-        )
-    if not has_branch_pair(h, "1" * m, "1" * (m - ell)):
-        raise PreconditionViolated(f"element does not carry 1^{m} -> 1^{m - ell}")
-    return sign, m, ell

@@ -2,27 +2,27 @@
 image (c, d), build g by tree surgery so that <f, g> contains every element
 of slope 1 at both endpoints, and emit the certificate proving it.
 
-All four constructions share one layout, built by one body with a choice
-at each end. A scaffold tree is completed around the moved triple
-u -> v -> w of f; the partner's domain and range trees are the scaffold
-with small standard subtrees hung at a handful of branches.
+Every target goes through one layout. A scaffold tree is completed around
+the moved triple u -> v -> w of f; the partner's domain and range trees are
+the scaffold with small standard subtrees hung at a handful of branches.
 The branch-pair table is the leaf-by-leaf pairing of those two surgered
 trees, and the blocks are read off it, cut after the row (w0, w01) and
 after the four rows under [w10]:
 
-  (A)  a shift along the leftmost branch realizing slope 2^c at 0,
-       or (A'') a rigid version for c = 0, then the interior moved right;
+  (A)  the end at 0, then the interior moved right;
   (B)  a copy of the basic generator x1 inside [w10], providing the
        fixed point with one-sided slopes (1, 2);
-  (C)  a shift along the rightmost branch realizing slope 2^-d at 1,
-       or (C') a rigid version for d = 0.
+  (C)  the end at 1.
 
-Rigid ends cannot prove their own one-sided branch family, so there the
-certificate's shift schema leans on a branch pair of f itself - which is
-why the boundary targets need f to have non-trivial slope at that endpoint.
-A target whose first non-zero coordinate is negative builds the surgery
-for (-c, -d) and takes g as its inverse, a sign on every g-letter of the
-certificate since <f, g> = <f, g^-1>; so c = 0 takes the sign of d.
+t -> 1 - t swaps the two ends and the two coordinates, so one builder,
+`_end`, makes both. At its outer all-t branch g shifts, realizing slope
+2^c at 0 (A) or 2^-d at 1 (C), or, where that coordinate is 0, stays
+rigid (A'', C'). A rigid end cannot prove its own one-sided branch
+family, so its shift schema leans on f's tail pair there (`_tail_pair`) -
+which is why a zero coordinate needs f to have non-trivial slope at that
+endpoint. A target whose first non-zero coordinate is negative builds the
+surgery for (-c, -d) and takes g as its inverse, a sign on every g-letter
+of the certificate since <f, g> = <f, g^-1>; so c = 0 takes the sign of d.
 """
 
 from __future__ import annotations
@@ -37,15 +37,15 @@ from .certify import (
     Witness,
     certify_normal_generation,
     closure_seeds,
-    conditions_error,
     queried_words,
 )
-from .dynamics import IdentityInput, PreconditionViolated, find_uvw, one_tail_pair, zero_tail_pair
+from .dynamics import IdentityInput, PreconditionViolated, find_uvw, zero_tail_pair
 from .element import (
     AbelianImage,
     Element,
     GroupWord,
     abelianize,
+    flip,
     from_codes,
     invert,
 )
@@ -55,6 +55,7 @@ from .words import Word
 Tree = tuple[Word, ...]
 Row = tuple[Word, Word]
 Blocks = tuple[tuple[str, tuple[Row, ...]], ...]
+TailPair = tuple[GroupWord, int, int]  # (f or f^-1 as a word, n, m): t^n -> t^m
 
 CARET: Tree = ("0", "1")
 X1_DOMAIN: Tree = ("0", "100", "101", "11")
@@ -164,18 +165,17 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     dropping a witness breaks a condition it stays broken for every later
     (smaller) seed set, and every survivor is necessary.
 
-    If the conditions hold on every seed, they hold on a subset iff w's
-    class holds every obligation word: their shapes and length bounds do not
-    depend on the seeds. The witnesses `needed_seeds` proves necessary are
-    kept, and are in the seeds of every other witness's trial, so they are
-    folded once, with the schema pairs. The other trials are decided offline on one
-    rolled-back closure: `solve(lo, hi)` starts from the survivors before
+    The surgery makes the conditions hold on every seed; where they do not,
+    they fail on every subset too, and `_certified` rejects the result. They
+    hold on a subset iff w's class holds every obligation word: their shapes
+    and length bounds do not depend on the seeds. The witnesses
+    `needed_seeds` proves necessary are kept, and are in the seeds of every
+    other witness's trial, so they are folded once, with the schema pairs.
+    The other trials are decided offline on one rolled-back closure: `solve(lo, hi)` starts from the survivors before
     lo and every undecided witness from hi on, so each is folded O(log R)
     times for R undecided."""
     n = len(cert.witnesses)  # seeds n and n + 1 are the schema pairs
     cong = SuffixCongruence(closure_seeds(cert), _obligations(cert))
-    if conditions_error(cert, cong, cert.depth) is not None:
-        return cert  # no trial can pass on fewer seeds
     total = cong.weight(cert.w)  # every obligation node, since all are ~ w
     kept = cong.needed_seeds(cert.w, n)
     rest = sorted(set(range(n)).difference(kept))
@@ -216,14 +216,41 @@ def _certified(result: SynthesisResult) -> SynthesisResult:
 # --- the constructions --------------------------------------------------------
 
 
+def _tail_pair(f: Element, t: str) -> TailPair:
+    """(h's one-letter word, n, m): h is whichever of f, f^-1 has slope > 1
+    at end t, with tail pair t^n -> t^m, n > m >= 0. At 1 it is read at 0
+    of flip(h), whose first row is h's last one complemented."""
+    h_sign = 1 if abelianize(f)[int(t)] > 0 else -1
+    h = f if h_sign > 0 else invert(f)
+    n, m = zero_tail_pair(flip(h) if t == "1" else h, "")
+    return (("f", h_sign),), n, m
+
+
+def _end(
+    t: str, branch: Word, k: int, gword: GroupWord, tail: TailPair | None
+) -> tuple[Tree, Tree, ShiftSchema]:
+    """g's domain and range subtrees at the outer all-t branch, and that
+    end's shift schema. k > 0 shifts along gword, t^(k+1) -> t under the
+    branch; k = 0 is rigid and the schema shifts along f's `tail` pair."""
+    s = "1" if t == "0" else "0"  # the letter pointing inward
+    if k:
+        shift = Witness(gword, branch + t * (k + 1), branch + t)
+        dom, ran, count = complete_tree([t * (k + 1)]), complete_tree([s * k]), k + 1
+    else:
+        word, n, m = tail
+        shift = Witness(word, t * n, t * m)
+        dom, ran, count = complete_tree([s * 2]), CARET, n - m
+    return dom, ran, ShiftSchema(t, branch, s, shift, count)
+
+
 def _construct(f: Element, c: int, d: int) -> SynthesisResult:
-    """The one tree-surgery layout, with a choice made at each end.
+    """The one tree-surgery layout, with each end built by `_end`.
 
     An end whose coordinate is non-zero shifts along g: slope 2^c at 0,
     2^-d at 1, where d < 0 is the same surgery with domain and range
     swapped right of [w1], its shift witness carried by g^-1. An end whose
-    coordinate is 0 is rigid: the scaffold grows a chain there and the
-    schema shifts along f's own tail pair instead. A negative first non-zero
+    coordinate is 0 is rigid: the scaffold grows a chain there as long as
+    f's tail pair, along which the schema shifts. A negative first non-zero
     coordinate (c < 0, or c = 0 and d < 0) builds the surgery for (-c, -d)
     and takes g as its inverse: <f, g> = <f, g^-1>, so the certificate is
     the same but for the sign of every g-letter."""
@@ -231,57 +258,26 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     part = 4 - 2 * (c != 0) - (d != 0)  # 1: (c, d), 2: (c, 0), 3: (0, d), 4: (0, 0)
     sign = -1 if (c or d) < 0 else 1
     c, d = sign * c, sign * d
-    if not d:
-        tail_sign, m, ell = one_tail_pair(f)
-    if not c:
-        a = abelianize(f).at_zero
-        n0, m0 = zero_tail_pair(f if a > 0 else invert(f), "")
+    left_tail = None if c else _tail_pair(f, "0")
+    right_tail = None if d else _tail_pair(f, "1")
     triple = find_uvw(f)
     w = triple.w
     T = build_scaffold_tree(
         triple.u, triple.v, w,
-        right_chain=0 if d else m,
-        left_chain=0 if c else n0,
+        right_chain=right_tail[1] if right_tail else 0,
+        left_chain=left_tail[1] if left_tail else 0,
     )
-    u1, un = T[0], T[-1]
     gword: GroupWord = (("g", sign),)
-    plus = {w + "10": X1_DOMAIN}
-    minus = {w + "0": CARET, w + "10": X1_RANGE}
-
-    if c:
-        plus[u1] = complete_tree(["0" * (c + 1)])
-        minus[u1] = complete_tree(["1" * c])
-        left = ShiftSchema(
-            "0", u1, "1", Witness(gword, u1 + "0" * (c + 1), u1 + "0"), c + 1
-        )
-    else:
-        plus[u1] = complete_tree(["11"])
-        minus[u1] = CARET
-        left = ShiftSchema(
-            "0", u1, "1",
-            Witness((("f", 1 if a > 0 else -1),), "0" * n0, "0" * m0),
-            n0 - m0,
-        )
-
-    dd = abs(d)
-    if d:
-        right_plus = {un: complete_tree(["1" * (dd + 1)])}
-        right_minus = {w + "11": CARET, un: complete_tree(["0" * dd])}
-        right = ShiftSchema(
-            "1", un, "0",
-            Witness((("g", sign if d > 0 else -sign),), un + "1" * (dd + 1), un + "1"),
-            dd + 1,
-        )
-    else:
-        right_plus = {un: complete_tree(["00"])}
-        right_minus = {w + "11": CARET, un: CARET}
-        right = ShiftSchema(
-            "1", un, "0", Witness((("f", tail_sign),), "1" * m, "1" * (m - ell)), ell
-        )
-    if d < 0:
-        right_plus, right_minus = right_minus, right_plus
-    plus.update(right_plus)
-    minus.update(right_minus)
+    left_plus, left_minus, left = _end("0", T[0], c, gword, left_tail)
+    right_plus, right_minus, right = _end(
+        "1", T[-1], abs(d), (("g", sign if d > 0 else -sign),), right_tail
+    )
+    plus = {T[0]: left_plus, w + "10": X1_DOMAIN, T[-1]: right_plus}
+    minus = {T[0]: left_minus, w + "0": CARET, w + "10": X1_RANGE, w + "11": CARET,
+             T[-1]: right_minus}
+    if d < 0:  # domain and range trade places right of [w1]
+        plus[T[-1]], minus[T[-1]] = right_minus, right_plus
+        plus[w + "11"] = minus.pop(w + "11")
 
     rp = attach_all(T, plus)
     rm = attach_all(T, minus)

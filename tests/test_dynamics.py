@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from thompsonf import (
     IDENTITY,
@@ -7,6 +7,7 @@ from thompsonf import (
     X1,
     abelianize,
     compose,
+    flip,
     has_branch_pair,
     invert,
     power,
@@ -16,11 +17,11 @@ from thompsonf.dynamics import (
     PreconditionViolated,
     find_uvw,
     left_fixed_boundary,
-    one_tail_pair,
     zero_tail_pair,
 )
 from thompsonf.words import in_B_prime, interval_less, word_to_dyadic
 from thompsonf.element import evaluate
+from thompsonf.synthesis import _tail_pair
 
 from conftest import elements
 
@@ -89,27 +90,24 @@ def test_zero_tail_pair_reads_the_first_branch():
     assert zero_tail_pair(X1, "1") == (2, 1)
 
 
-def test_one_tail_pair_of_generators():
-    assert one_tail_pair(X0) == (-1, 2, 1)
-    assert one_tail_pair(X1) == (-1, 3, 1)
-    assert one_tail_pair(invert(X0)) == (1, 2, 1)
-    with pytest.raises(PreconditionViolated):
-        one_tail_pair(compose(X0, invert(X1)))  # slope 1 at 1-
-
-
 @settings(max_examples=60)
 @given(elements)
-def test_one_tail_pair_contract(f):
-    b = abelianize(f).at_one
-    if b == 0:
-        with pytest.raises(PreconditionViolated):
-            one_tail_pair(f)
-        return
-    sign, m, ell = one_tail_pair(f)
-    assert sign == (1 if b > 0 else -1)
-    assert m > ell >= 1
-    h = f if sign == 1 else invert(f)
-    assert has_branch_pair(h, "1" * m, "1" * (m - ell))
+@example(X0)
+@example(X1)
+@example(invert(X0))
+def test_tail_pair_contract(f):
+    # each end of non-zero slope has a tail pair t^n -> t^m of the power of f
+    # expanding there, and the one at 1 is the one at 0 of flip(f)
+    for t, slope in zip("01", abelianize(f)):
+        if slope == 0:
+            continue
+        word, n, m = _tail_pair(f, t)
+        ((name, sign),) = word
+        assert (name, sign) == ("f", 1 if slope > 0 else -1)
+        assert n > m >= 0
+        assert has_branch_pair(f if sign > 0 else invert(f), t * n, t * m)
+        if t == "1":
+            assert _tail_pair(f, "1") == _tail_pair(flip(f), "0")
 
 
 def test_uvw_handles_elements_fixing_a_left_interval():
@@ -135,5 +133,3 @@ def test_output_guards_raise_without_asserts(monkeypatch):
     monkeypatch.setattr(dynamics, "has_branch_pair", lambda h, u, v: False)
     with pytest.raises(PreconditionViolated):
         find_uvw(X0)
-    with pytest.raises(PreconditionViolated):
-        one_tail_pair(X0)
