@@ -1,6 +1,7 @@
 import io
 import json
 import contextlib
+import hashlib
 import random
 from dataclasses import replace
 
@@ -279,3 +280,209 @@ def test_error_messages_on_stderr():
     rc, out, err = go(["eval", "x0", "1/3"])
     assert "denominator" in err
     assert out == ""
+
+
+# --- pinned output -----------------------------------------------------------
+
+# (argv, exact stdout, exit status) for every subcommand, in text and --json
+# mode where it has one. Placeholders in argv name files made by `cli_files`:
+# {cert} passes, {cond} fails condition 1, {bad} fails to decode, {elt}
+# is an unreduced table of x0 and {out} is an output path.
+GOLDEN_OUTPUT = [
+    (['parse', 'x0 x1^-1'], '00 -> 0\n01 -> 100\n10 -> 101\n11 -> 11\n', 0),
+    (['parse', '{elt}'], '00 -> 0\n01 -> 10\n1 -> 11\n', 0),
+    (['parse', 'x0', '--out', '{out}'], '', 0),
+    (['parse', 'x2'], '', 2),
+    (['compose', 'x0', 'x1'], '00 -> 0\n010 -> 10\n011 -> 110\n1 -> 111\n', 0),
+    (['compose', 'x0', 'x1^-1', '--out', '{out}'], '', 0),
+    (['invert', 'x0 x1'], '0 -> 00\n10 -> 010\n110 -> 011\n111 -> 1\n', 0),
+    (['invert', 'x1', '--out', '{out}'], '', 0),
+    (['flip', 'x0'], '0 -> 00\n10 -> 01\n11 -> 1\n', 0),
+    (['flip', 'x1', '--out', '{out}'], '', 0),
+    (['eval', 'x0', '1/4'], '1/2\n', 0),
+    (['eval', 'x0', '1/4', '--json'], '{"num": 1, "exp": 1, "value": "1/2"}\n', 0),
+    (['eval', 'x1', '.111'], '15/16\n', 0),
+    (['eval', 'x1', '.111', '--json'], '{"num": 15, "exp": 4, "value": "15/16"}\n', 0),
+    (['eval', 'x0', '1/3'], '', 2),
+    (['slopes', 'x1', '.11'], 'left 2^0\nright 2^-1\n', 0),
+    (['slopes', 'x1', '.11', '--json'], '{"left_log2": 0, "right_log2": -1}\n', 0),
+    (['slopes', 'x0', '1/2'], 'left 2^0\nright 2^-1\n', 0),
+    (['slopes', 'x0', '1/2', '--json'], '{"left_log2": 0, "right_log2": -1}\n', 0),
+    (['abelianize', 'x1'], '(0,-1)\n', 0),
+    (['abelianize', 'x1', '--json'], '{"at_zero": 0, "at_one": -1}\n', 0),
+    (['abelianize', 'x0 x1^-1 x0^2'], '(3,-2)\n', 0),
+    (['abelianize', 'x0 x1^-1 x0^2', '--json'], '{"at_zero": 3, "at_one": -2}\n', 0),
+    (['uvw', 'x0'], 'h: f\nu: 0001\nv: 001\nw: 01\n', 0),
+    (['uvw', 'x0', '--json'], '{"h": "f", "u": "0001", "v": "001", "w": "01"}\n', 0),
+    (['uvw', 'x0^-1 x1'], 'h: f^-1\nu: 0001\nv: 001\nw: 01\n', 0),
+    (['uvw', 'x0^-1 x1', '--json'], '{"h": "f^-1", "u": "0001", "v": "001", "w": "01"}\n', 0),
+    (['uvw', 'id'], '', 2),
+    (['lattice', '6', '4'], 'companion: (4,3)\nrectangular: p=2 q=1 index=2\n', 0),
+    (['lattice', '6', '4', '--json'],
+     '{"companion": [4, 3], "p": 2, "q": 1, "index": 2, "unimodular": null}\n', 0),
+    (['lattice', '3', '5'],
+     'companion: (1,2)\nrectangular: p=1 q=1 index=1\nunimodular companion: (1,2)\n', 0),
+    (['lattice', '3', '5', '--json'],
+     '{"companion": [1, 2], "p": 1, "q": 1, "index": 1, "unimodular": [1, 2]}\n', 0),
+    (['lattice', '-3', '-5', '--json'],
+     '{"companion": [2, 3], "p": 1, "q": 1, "index": 1, "unimodular": [-1, -2]}\n', 0),
+    (['lattice', '2', '0', '0', '3'], 'index: 6\n', 0),
+    (['lattice', '2', '0', '0', '3', '--json'], '{"basis": [[2, 0], [0, 3]], "index": 6}\n', 0),
+    (['lattice', '1', '2', '2', '4'], 'index: infinite\n', 0),
+    (['lattice', '1', '2', '2', '4', '--json'], '{"basis": [[1, 2], [2, 4]], "index": null}\n', 0),
+    (['synthesize', 'x0', '--target', '1,1'],
+     'part: 1\ntarget: (1,1)\njoint image index: 2\nwitnesses: 11\nPASS\n', 0),
+    (['synthesize', 'x0', '--target', '1,1', '--json'],
+     ('{"part": 1, "target": [1, 1], "image_of_f": [1, -1], "index": 2, "witnesses": 11, '
+      '"verdict": "PASS"}\n'), 0),
+    (['synthesize', 'x0', '--target', '-2,3', '--json'],
+     ('{"part": 1, "target": [-2, 3], "image_of_f": [1, -1], "index": 1, "witnesses": 14, '
+      '"verdict": "PASS"}\n'), 0),
+    (['synthesize', 'x0', '--target', '0,0'],
+     'part: 4\ntarget: (0,0)\njoint image index: infinite\nwitnesses: 3\nPASS\n', 0),
+    (['synthesize', 'x1', '--target', '0,2'], '', 2),
+    (['synthesize', 'x0', '--target', '1'], '', 2),
+    (['synthesize', 'x0', '--target', '1,1', '--out', '{out}', '--json'],
+     ('{"part": 1, "target": [1, 1], "image_of_f": [1, -1], "index": 2, "witnesses": 11, '
+      '"verdict": "PASS"}\n'), 0),
+    (['complete-pair', 'x0'],
+     'part: 2\ntarget: (1,0)\njoint image index: 1\nwitnesses: 7\nPASS\n', 0),
+    (['complete-pair', 'x0', '--json'],
+     ('{"part": 2, "target": [1, 0], "image_of_f": [1, -1], "index": 1, "witnesses": 7, '
+      '"verdict": "PASS"}\n'), 0),
+    (['finite-index', 'x0 x0'],
+     'part: 3\ntarget: (0,1)\njoint image index: 2\nwitnesses: 8\nPASS\n', 0),
+    (['finite-index', 'x0 x0', '--json'],
+     ('{"part": 3, "target": [0, 1], "image_of_f": [2, -2], "index": 2, "witnesses": 8, '
+      '"verdict": "PASS"}\n'), 0),
+    (['finite-index', 'x1^-1', '--out', '{out}'],
+     'part: 2\ntarget: (1,0)\njoint image index: 1\nwitnesses: 8\nPASS\n', 0),
+    (['certify', '{cert}'], 'PASS\n', 0),
+    (['certify', '{cert}', '--json'], '{"verdict": "PASS", "detail": ""}\n', 0),
+    (['certify', '{cert}', '--depth', '40'], 'PASS\n', 0),
+    (['certify', '{cert}', '--depth', '2'],
+     'FAIL invalid-certificate: closure bound 2 is below the longest seed word (6)\n', 1),
+    (['certify', '{cert}', '--depth', '2', '--json'],
+     ('{"verdict": "invalid-certificate", '
+      '"detail": "closure bound 2 is below the longest seed word (6)"}\n'), 1),
+    (['certify', '{cond}'], 'FAIL condition-1: 01 ~ 010 unproved at closure bound 11\n', 1),
+    (['certify', '{cond}', '--json'],
+     '{"verdict": "condition-1", "detail": "01 ~ 010 unproved at closure bound 11"}\n', 1),
+    (['certify', '{bad}'], "FAIL invalid-certificate: missing field 'f'\n", 1),
+    (['certify', '{bad}', '--json'],
+     '{"verdict": "invalid-certificate", "detail": "missing field \'f\'"}\n', 1),
+    (['export', 'x0', '--dot'],
+     ('digraph tree_pair {\n  rankdir=TB;\n  "Droot" [shape=point];\n  "D0" [shape=point];\n'
+      '  "D00" [shape=box label="00"];\n  "D01" [shape=box label="01"];\n'
+      '  "D1" [shape=box label="1"];\n  "Droot" -> "D0" [label="0"];\n'
+      '  "D0" -> "D00" [label="0"];\n  "D0" -> "D01" [label="1"];\n'
+      '  "Droot" -> "D1" [label="1"];\n  "Rroot" [shape=point];\n'
+      '  "R0" [shape=box label="0"];\n  "R1" [shape=point];\n'
+      '  "R10" [shape=box label="10"];\n  "R11" [shape=box label="11"];\n'
+      '  "Rroot" -> "R0" [label="0"];\n  "Rroot" -> "R1" [label="1"];\n'
+      '  "R1" -> "R10" [label="0"];\n  "R1" -> "R11" [label="1"];\n'
+      '  "D00" -> "R0" [style=dashed constraint=false];\n'
+      '  "D01" -> "R10" [style=dashed constraint=false];\n'
+      '  "D1" -> "R11" [style=dashed constraint=false];\n}\n'), 0),
+    (['export', 'x1'],
+     ('digraph tree_pair {\n  rankdir=TB;\n  "Droot" [shape=point];\n'
+      '  "D0" [shape=box label="0"];\n  "D1" [shape=point];\n  "D10" [shape=point];\n'
+      '  "D100" [shape=box label="100"];\n  "D101" [shape=box label="101"];\n'
+      '  "D11" [shape=box label="11"];\n  "Droot" -> "D0" [label="0"];\n'
+      '  "Droot" -> "D1" [label="1"];\n  "D1" -> "D10" [label="0"];\n'
+      '  "D10" -> "D100" [label="0"];\n  "D10" -> "D101" [label="1"];\n'
+      '  "D1" -> "D11" [label="1"];\n  "Rroot" [shape=point];\n'
+      '  "R0" [shape=box label="0"];\n  "R1" [shape=point];\n'
+      '  "R10" [shape=box label="10"];\n  "R11" [shape=point];\n'
+      '  "R110" [shape=box label="110"];\n  "R111" [shape=box label="111"];\n'
+      '  "Rroot" -> "R0" [label="0"];\n  "Rroot" -> "R1" [label="1"];\n'
+      '  "R1" -> "R10" [label="0"];\n  "R1" -> "R11" [label="1"];\n'
+      '  "R11" -> "R110" [label="0"];\n  "R11" -> "R111" [label="1"];\n'
+      '  "D0" -> "R0" [style=dashed constraint=false];\n'
+      '  "D100" -> "R10" [style=dashed constraint=false];\n'
+      '  "D101" -> "R110" [style=dashed constraint=false];\n'
+      '  "D11" -> "R111" [style=dashed constraint=false];\n}\n'), 0),
+    (['export', 'x0', '--out', '{out}'], '', 0),
+    (['corpus', '--seed', '3', '--count', '4'],
+     ('case 01 part=1 target=(-2,3) witnesses=16 PASS f: x0^-1 x1 x0^-1 x1\n'
+      'case 02 part=3 target=(0,1) witnesses=8 PASS f: x1^-1 x0 x0^-1 x0 x0 x1 x1^-1 x1^-1\n'
+      'case 03 part=1 target=(-1,-3) witnesses=16 PASS '
+      'f: x1 x1 x0 x1 x1^-1 x1^-1 x1^-1 x1 x1 x1 x1 x0^-1\n'
+      'case 04 part=2 target=(-3,0) witnesses=10 PASS f: x1^-1 x0^-1\npassed 4/4\n'
+      'parts: 1x2 2x1 3x1\n'), 0),
+    (['corpus', '--seed', '3', '--count', '4', '--json'],
+     ('{"seed": 3, "cases": [{"case": 1, "f": "x0^-1 x1 x0^-1 x1", "target": [-2, 3], '
+      '"part": 1, "witnesses": 16, "verdict": "PASS"}, {"case": 2, '
+      '"f": "x1^-1 x0 x0^-1 x0 x0 x1 x1^-1 x1^-1", "target": [0, 1], "part": 3, '
+      '"witnesses": 8, "verdict": "PASS"}, {"case": 3, '
+      '"f": "x1 x1 x0 x1 x1^-1 x1^-1 x1^-1 x1 x1 x1 x1 x0^-1", "target": [-1, -3], '
+      '"part": 1, "witnesses": 16, "verdict": "PASS"}, {"case": 4, "f": "x1^-1 x0^-1", '
+      '"target": [-3, 0], "part": 2, "witnesses": 10, "verdict": "PASS"}], "failures": 0}\n'), 0),
+    ([], '', 2),
+    (['nonsense'], '', 2),
+    (['eval', 'x0'], '', 2),
+]
+
+
+# (argv, sha256 of the file written to {out}) for --out tables and --cert
+# certificates.
+GOLDEN_FILES = [
+    (['parse', 'x0 x1^-1', '--out', '{out}'],
+     '02630cb3aea3df7b79215ee83ebbeda1876998629915daeedd962078a33f3708'),
+    (['compose', 'x0', 'x1^-1', '--out', '{out}'],
+     '02630cb3aea3df7b79215ee83ebbeda1876998629915daeedd962078a33f3708'),
+    (['invert', 'x0 x1', '--out', '{out}'],
+     '5a83beaf46591c10b1a32799ce225aade8025420982debc883c4287b73fdcde6'),
+    (['flip', 'x1', '--out', '{out}'],
+     '14390e032776823d78ac32b7630c7a8d2f354bec1ccb1935443399790f35d58e'),
+    (['export', 'x1', '--dot', '--out', '{out}'],
+     '8f625699f3619e914af8484c9f47290557496009b1e32be737de8c921da005ca'),
+    (['synthesize', 'x0', '--target', '1,1', '--out', '{out}'],
+     '1e5c0be1abce8b4c629d32173ce78d76196c20e01ce97f7b659a95a91eb41b45'),
+    (['synthesize', 'x0', '--target', '1,1', '--cert', '{out}'],
+     '6c30382cf8a517280133f620466033c822fd1fa81721efe2869d76e2ce7351d4'),
+    (['synthesize', 'x0', '--target', '-2,3', '--cert', '{out}'],
+     '0930f2911aacb93a1a0db7bc29576a04e05d2e2e9c4e3c2806207cc6361339e4'),
+    (['synthesize', 'x0^-1', '--target', '0,3', '--cert', '{out}'],
+     '146033e94fd722895afd8a34bc04f67882d5957011ee295b4545713ef1529983'),
+    (['synthesize', 'x0', '--target', '0,0', '--cert', '{out}'],
+     '356a335440f34297135b88923925ed15902610043cce0d06d25ffaf904c92d1a'),
+    (['complete-pair', 'x0', '--out', '{out}'],
+     'bb1f01338ae245a8c63fe9edc5d9c90a615a34f3a0ab803c1abaa5019f20f2a4'),
+    (['complete-pair', 'x0', '--cert', '{out}'],
+     'daf0f08dd753f19f712ed6f01ecabad072cd614034cc80084ee6ea7b9a938929'),
+    (['finite-index', 'x0 x0', '--out', '{out}'],
+     '82b4dbe322a4523fceedaad89ebceee9f4274d19c9e2a798556e399d0c65280d'),
+    (['finite-index', 'x0 x0', '--cert', '{out}'],
+     '70635aab82f826c8fad0f03accd6fb7825b02be17ce2b9cb298531b6af062140'),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    files = {name: str(tmp / name) for name in ("elt", "out", "cert", "cond", "bad")}
+    (tmp / "elt").write_text("000 -> 00\n001 -> 01\n01 -> 10\n1 -> 11\n")
+    go(["synthesize", "x0", "--target=1,1", "--cert", files["cert"]])
+    doc = json.loads((tmp / "cert").read_text())
+    (tmp / "cond").write_text(json.dumps(dict(doc, witnesses=doc["witnesses"][1:])))
+    del doc["f"]
+    (tmp / "bad").write_text(json.dumps(doc))
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, status", GOLDEN_OUTPUT, ids=[" ".join(row[0]) or "-" for row in GOLDEN_OUTPUT]
+)
+def test_pinned_output(cli_files, argv, stdout, status):
+    rc, out, _ = go([arg.format(**cli_files) for arg in argv])
+    assert (out, rc) == (stdout, status)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_FILES, ids=[" ".join(row[0]) for row in GOLDEN_FILES]
+)
+def test_pinned_files(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert go([arg.format(out=out) for arg in argv])[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
