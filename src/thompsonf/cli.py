@@ -14,9 +14,11 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 
 from .certify import (
     CertificateFormatError,
+    CertifyResult,
     certificate_from_json,
     certificate_to_json,
     certify_normal_generation,
@@ -28,6 +30,7 @@ from .element import (
     X1,
     Element,
     GroupWord,
+    UnknownSymbol,
     _tree_product,
     abelianize,
     eval_word,
@@ -68,157 +71,133 @@ def resolve_element(ref: str) -> Element:
     return eval_word(parse_group_word(ref), _BUILTINS)
 
 
-def _write_or_print(text: str, path: str | None) -> None:
+def _write_or_print(text: str, path: str | None) -> int:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
+
+
+def _report(args, record: dict, *lines: str) -> int:
+    """Print `record` as one JSON line under --json, else the text lines."""
+    print(json.dumps(record) if args.json else "\n".join(lines))
+    return 0
+
+
+def _index(index) -> int | None:
+    """A joint-image index as JSON writes it: None when infinite."""
+    return None if index == INFINITE else int(index)
 
 
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_parse(args) -> int:
-    _write_or_print(format_element(resolve_element(args.element)), args.out)
-    return 0
+def _cmd_table(args) -> int:
+    """parse, invert and flip: the reduced table of `args.transform(f)`."""
+    return _write_or_print(format_element(args.transform(resolve_element(args.element))), args.out)
 
 
 def _cmd_compose(args) -> int:
     out = _tree_product([(resolve_element(ref), 1) for ref in args.elements])
-    _write_or_print(format_element(out), args.out)
-    return 0
-
-
-def _cmd_invert(args) -> int:
-    _write_or_print(format_element(invert(resolve_element(args.element))), args.out)
-    return 0
-
-
-def _cmd_flip(args) -> int:
-    _write_or_print(format_element(flip(resolve_element(args.element))), args.out)
-    return 0
+    return _write_or_print(format_element(out), args.out)
 
 
 def _cmd_eval(args) -> int:
     value = evaluate(resolve_element(args.element), parse_dyadic(args.point))
-    if args.json:
-        num: int | str = value.num
-        limit = _int_max_str_digits()
-        if limit and num >= 10**limit:  # past what json writes or reads as an int
-            num = format(num, "b")
-        print(json.dumps({"num": num, "exp": value.exp, "value": str(value)}))
-    else:
-        print(value)
-    return 0
+    num: int | str = value.num
+    limit = _int_max_str_digits()
+    if limit and num >= 10**limit:  # past what json writes or reads as an int
+        num = format(num, "b")
+    return _report(args, {"num": num, "exp": value.exp, "value": str(value)}, str(value))
 
 
 def _cmd_slopes(args) -> int:
+    """The one-sided slopes at t; at t = 0 only the right one exists, at
+    t = 1 only the left one (the abelianization coordinates)."""
     f = resolve_element(args.element)
     t = parse_dyadic(args.point)
-    left = slope_left(f, t)
-    right = slope_right(f, t)
-    if args.json:
-        print(json.dumps({"left_log2": left, "right_log2": right}))
-    else:
-        print(f"left 2^{left}")
-        print(f"right 2^{right}")
-    return 0
+    left = slope_left(f, t) if t.num else None
+    right = slope_right(f, t) if t.num != 1 << t.exp else None
+    sides = (("left", left), ("right", right))
+    lines = [f"{side} 2^{k}" for side, k in sides if k is not None]
+    return _report(args, {"left_log2": left, "right_log2": right}, *lines)
 
 
 def _cmd_abelianize(args) -> int:
-    image = abelianize(resolve_element(args.element))
-    if args.json:
-        print(json.dumps({"at_zero": image.at_zero, "at_one": image.at_one}))
-    else:
-        print(f"({image.at_zero},{image.at_one})")
-    return 0
+    a, b = abelianize(resolve_element(args.element))
+    return _report(args, {"at_zero": a, "at_one": b}, f"({a},{b})")
 
 
 def _cmd_uvw(args) -> int:
     triple = find_uvw(resolve_element(args.element))
-    word = format_group_word((("f", triple.sign),))
-    if args.json:
-        print(json.dumps({"h": word, "u": triple.u, "v": triple.v, "w": triple.w}))
-    else:
-        print(f"h: {word}")
-        print(f"u: {triple.u}")
-        print(f"v: {triple.v}")
-        print(f"w: {triple.w}")
-    return 0
+    h = format_group_word((("f", triple.sign),))
+    record = {"h": h, "u": triple.u, "v": triple.v, "w": triple.w}
+    return _report(args, record, *(f"{key}: {value}" for key, value in record.items()))
 
 
 def _cmd_lattice(args) -> int:
     a, b = args.a, args.b
+    if (args.c is None) != (args.d is None):
+        raise ValueError("lattice takes two or four integers")
     if args.c is not None:
         basis = ((a, b), (args.c, args.d))
-        index = index_of(basis)
-        if args.json:
-            print(json.dumps({"basis": basis, "index": None if index == INFINITE else int(index)}))
-        else:
-            print(f"index: {'infinite' if index == INFINITE else int(index)}")
-        return 0
+        index = _index(index_of(basis))
+        text = "infinite" if index is None else index
+        return _report(args, {"basis": basis, "index": index}, f"index: {text}")
     c, d, form = companion_rectangular(a, b)
-    index = index_of(((a, b), (c, d)))
+    index = int(index_of(((a, b), (c, d))))
     try:
-        unimodular = complete_basis(a, b)
+        unimodular = list(complete_basis(a, b))
     except NotUnimodular:
         unimodular = None
-    if args.json:
-        print(json.dumps({
-            "companion": [c, d],
-            "p": form.p,
-            "q": form.q,
-            "index": int(index),
-            "unimodular": list(unimodular) if unimodular else None,
-        }))
-    else:
-        print(f"companion: ({c},{d})")
-        print(f"rectangular: p={form.p} q={form.q} index={int(index)}")
-        if unimodular:
-            print(f"unimodular companion: ({unimodular[0]},{unimodular[1]})")
-    return 0
+    record = {"companion": [c, d], "p": form.p, "q": form.q, "index": index,
+              "unimodular": unimodular}
+    lines = [f"companion: ({c},{d})", f"rectangular: p={form.p} q={form.q} index={index}"]
+    if unimodular:
+        lines.append(f"unimodular companion: ({unimodular[0]},{unimodular[1]})")
+    return _report(args, record, *lines)
 
 
 def _emit_synthesis(result: SynthesisResult, args) -> int:
     """Report a result; `synthesize` returns only one that passed its check."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_element(result.g))
+        _write_or_print(format_element(result.g), args.out)
     if args.cert:
-        with open(args.cert, "w", encoding="utf-8") as fh:
-            fh.write(certificate_to_json(result.certificate))
-    if args.json:
-        print(json.dumps({
-            "part": result.part,
-            "target": list(result.target),
-            "image_of_f": list(result.basis[0]),
-            "index": None if result.index == INFINITE else int(result.index),
-            "witnesses": len(result.certificate.witnesses),
-            "verdict": "PASS",
-        }))
-    else:
-        print(f"part: {result.part}")
-        print(f"target: ({result.target.at_zero},{result.target.at_one})")
-        index = "infinite" if result.index == INFINITE else str(int(result.index))
-        print(f"joint image index: {index}")
-        print(f"witnesses: {len(result.certificate.witnesses)}")
-        print("PASS")
-    return 0
+        _write_or_print(certificate_to_json(result.certificate), args.cert)
+    index = _index(result.index)
+    witnesses = len(result.certificate.witnesses)
+    record = {
+        "part": result.part,
+        "target": list(result.target),
+        "image_of_f": list(result.basis[0]),
+        "index": index,
+        "witnesses": witnesses,
+        "verdict": "PASS",
+    }
+    return _report(
+        args, record, f"part: {result.part}",
+        f"target: ({result.target.at_zero},{result.target.at_one})",
+        f"joint image index: {'infinite' if index is None else index}",
+        f"witnesses: {witnesses}",
+        "PASS",
+    )
 
 
 def _cmd_synthesize(args) -> int:
-    c_s, _, d_s = args.target.partition(",")
-    result = synthesize(resolve_element(args.element), int(c_s), int(d_s))
-    return _emit_synthesis(result, args)
+    f = resolve_element(args.element)
+    c, _, d = args.target.partition(",")
+    try:
+        target = int(c), int(d)
+    except ValueError:
+        raise ValueError(f"--target takes c,d (two integers), got {args.target!r}") from None
+    return _emit_synthesis(synthesize(f, *target), args)
 
 
-def _cmd_complete_pair(args) -> int:
-    return _emit_synthesis(complete_generating_pair(resolve_element(args.element)), args)
-
-
-def _cmd_finite_index(args) -> int:
-    return _emit_synthesis(finite_index_pair(resolve_element(args.element)), args)
+def _cmd_partner(args) -> int:
+    """complete-pair and finite-index: the partner `args.build(f)`."""
+    return _emit_synthesis(args.build(resolve_element(args.element)), args)
 
 
 def _cmd_certify(args) -> int:
@@ -227,16 +206,10 @@ def _cmd_certify(args) -> int:
     try:
         cert = certificate_from_json(text)
     except CertificateFormatError as exc:
-        if args.json:
-            print(json.dumps({"verdict": exc.code, "detail": exc.detail}))
-        else:
-            print(f"FAIL {exc.code}: {exc.detail}")
-        return 1
-    verdict = certify_normal_generation(cert, bound=args.depth)
-    if args.json:
-        print(json.dumps({"verdict": verdict.code, "detail": verdict.detail}))
+        verdict = CertifyResult(False, exc.code, exc.detail)
     else:
-        print(str(verdict))
+        verdict = certify_normal_generation(cert, bound=args.depth)
+    _report(args, {"verdict": verdict.code, "detail": verdict.detail}, str(verdict))
     return 0 if verdict.ok else 1
 
 
@@ -260,8 +233,7 @@ def _cmd_export(args) -> int:
     for u, v in f.pairs:
         lines.append(f'  "D{u or "root"}" -> "R{v or "root"}" [style=dashed constraint=false];')
     lines.append("}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
-    return 0
+    return _write_or_print("\n".join(lines) + "\n", args.out)
 
 
 # --- corpus -------------------------------------------------------------------
@@ -310,34 +282,26 @@ def corpus_entries(seed: int, count: int):
 
 
 def _cmd_corpus(args) -> int:
-    entries = corpus_entries(args.seed, args.count)
-    part_counts = {1: 0, 2: 0, 3: 0, 4: 0}
-    records = []
-    for i, (word, _, target, result) in enumerate(entries, 1):
-        part_counts[result.part] += 1
-        records.append({
+    cases = [
+        {
             "case": i,
             "f": format_group_word(word),
             "target": list(target),
             "part": result.part,
             "witnesses": len(result.certificate.witnesses),
             "verdict": "PASS",
-        })
-        if not args.json:
-            print(
-                f"case {i:02d} part={result.part} target=({target[0]},{target[1]}) "
-                f"witnesses={len(result.certificate.witnesses)} "
-                f"PASS f: {format_group_word(word)}"
-            )
-    if args.json:
-        print(json.dumps({"seed": args.seed, "cases": records, "failures": 0}))
-    else:
-        print(f"passed {len(entries)}/{len(entries)}")
-        print(
-            "parts: "
-            + " ".join(f"{p}x{n}" for p, n in sorted(part_counts.items()) if n)
-        )
-    return 0
+        }
+        for i, (word, _, target, result) in enumerate(corpus_entries(args.seed, args.count), 1)
+    ]
+    lines = [
+        f"case {r['case']:02d} part={r['part']} target=({r['target'][0]},{r['target'][1]}) "
+        f"witnesses={r['witnesses']} PASS f: {r['f']}"
+        for r in cases
+    ]
+    parts = Counter(r["part"] for r in cases)
+    lines.append(f"passed {len(cases)}/{len(cases)}")
+    lines.append("parts: " + " ".join(f"{p}x{n}" for p, n in sorted(parts.items())))
+    return _report(args, {"seed": args.seed, "cases": cases, "failures": 0}, *lines)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -351,85 +315,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+    element = argparse.ArgumentParser(add_help=False)
+    element.add_argument("element")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the branch table (export: the DOT text) here")
+    cert = argparse.ArgumentParser(add_help=False)
+    cert.add_argument("--cert", help="write the certificate JSON here")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+
+    def add(name, handler, help_text, *parents, **defaults):
+        p = sub.add_parser(name, help=help_text, parents=parents)
+        p.set_defaults(handler=handler, **defaults)
         return p
 
-    p = add("parse", _cmd_parse, "normalize an element to its reduced table")
-    p.add_argument("element")
-    p.add_argument("--out")
-
-    p = add("compose", _cmd_compose, "compose elements left to right")
+    add("parse", _cmd_table, "normalize an element to its reduced table", element, out,
+        transform=lambda f: f)
+    p = add("compose", _cmd_compose, "compose elements left to right", out)
     p.add_argument("elements", nargs="+")
-    p.add_argument("--out")
-
-    p = add("invert", _cmd_invert, "invert an element")
-    p.add_argument("element")
-    p.add_argument("--out")
-
-    p = add("flip", _cmd_flip, "conjugate by t -> 1-t")
-    p.add_argument("element")
-    p.add_argument("--out")
-
-    p = add("eval", _cmd_eval, "evaluate at a dyadic point")
-    p.add_argument("element")
+    add("invert", _cmd_table, "invert an element", element, out, transform=invert)
+    add("flip", _cmd_table, "conjugate by t -> 1-t", element, out, transform=flip)
+    p = add("eval", _cmd_eval, "evaluate at a dyadic point", element, as_json)
     p.add_argument("point")
-    p.add_argument("--json", action="store_true")
-
-    p = add("slopes", _cmd_slopes, "one-sided slopes at a dyadic point")
-    p.add_argument("element")
+    p = add("slopes", _cmd_slopes, "one-sided slopes at a dyadic point", element, as_json)
     p.add_argument("point")
-    p.add_argument("--json", action="store_true")
+    add("abelianize", _cmd_abelianize, "log2 slopes at the endpoints", element, as_json)
+    add("uvw", _cmd_uvw, "the moved triple u -> v -> w of f or f^-1", element, as_json)
 
-    p = add("abelianize", _cmd_abelianize, "log2 slopes at the endpoints")
-    p.add_argument("element")
-    p.add_argument("--json", action="store_true")
-
-    p = add("uvw", _cmd_uvw, "the moved triple u -> v -> w of f or f^-1")
-    p.add_argument("element")
-    p.add_argument("--json", action="store_true")
-
-    p = add("lattice", _cmd_lattice, "index and companions of integer vectors")
+    p = add("lattice", _cmd_lattice, "index and companions of integer vectors", as_json)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int, nargs="?")
     p.add_argument("d", type=int, nargs="?")
-    p.add_argument("--json", action="store_true")
 
-    p = add("synthesize", _cmd_synthesize, "build a certified partner for a target image")
-    p.add_argument("element")
+    p = add("synthesize", _cmd_synthesize, "build a certified partner for a target image",
+            element, out, cert, as_json)
     p.add_argument("--target", required=True, metavar="c,d")
-    p.add_argument("--out", help="write the partner's branch table here")
-    p.add_argument("--cert", help="write the certificate JSON here")
-    p.add_argument("--json", action="store_true")
+    add("complete-pair", _cmd_partner, "partner generating the whole group",
+        element, out, cert, as_json, build=complete_generating_pair)
+    add("finite-index", _cmd_partner, "partner of least finite joint-image index",
+        element, out, cert, as_json, build=finite_index_pair)
 
-    p = add("complete-pair", _cmd_complete_pair, "partner generating the whole group")
-    p.add_argument("element")
-    p.add_argument("--out")
-    p.add_argument("--cert")
-    p.add_argument("--json", action="store_true")
-
-    p = add("finite-index", _cmd_finite_index, "partner of least finite joint-image index")
-    p.add_argument("element")
-    p.add_argument("--out")
-    p.add_argument("--cert")
-    p.add_argument("--json", action="store_true")
-
-    p = add("certify", _cmd_certify, "check a certificate file")
+    p = add("certify", _cmd_certify, "check a certificate file", as_json)
     p.add_argument("certificate")
     p.add_argument("--depth", type=int, help="use the length-bounded closure")
-    p.add_argument("--json", action="store_true")
 
-    p = add("export", _cmd_export, "emit the tree pair as graphviz")
-    p.add_argument("element")
+    p = add("export", _cmd_export, "emit the tree pair as graphviz", element, out)
     p.add_argument("--dot", action="store_true", help="DOT output (the default)")
-    p.add_argument("--out")
 
-    p = add("corpus", _cmd_corpus, "reproducible randomized synthesis sweep")
+    p = add("corpus", _cmd_corpus, "reproducible randomized synthesis sweep", as_json)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -446,7 +382,9 @@ def run(argv) -> int:
     try:
         return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key
+        detail = f"unknown symbol {exc}" if isinstance(exc, UnknownSymbol) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # an internal invariant broke, not the input
         print(f"internal error: {exc}", file=sys.stderr)

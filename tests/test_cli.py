@@ -103,6 +103,23 @@ def test_slopes_and_uvw_json():
     assert json.loads(out) == {"h": "f", "u": "0001", "v": "001", "w": "01"}
 
 
+@pytest.mark.parametrize("word", ["x0", "x1", "x0^-1", "x0 x1^-1 x0^2", "x1^3 x0^-2", "id"])
+def test_slopes_at_the_endpoints_are_the_abelianization(word):
+    """At t = 0 only the right slope exists and at t = 1 only the left one;
+    their log2 are the coordinates `abelianize` prints."""
+    image = json.loads(go(["abelianize", word, "--json"])[1])
+    assert go(["slopes", word, "0"]) == (0, f"right 2^{image['at_zero']}\n", "")
+    assert go(["slopes", word, "1"]) == (0, f"left 2^{image['at_one']}\n", "")
+    rc, out, _ = go(["slopes", word, "0", "--json"])
+    assert (rc, json.loads(out)) == (0, {"left_log2": None, "right_log2": image["at_zero"]})
+    rc, out, _ = go(["slopes", word, "1", "--json"])
+    assert (rc, json.loads(out)) == (0, {"left_log2": image["at_one"], "right_log2": None})
+
+
+def test_slopes_of_x0_at_the_endpoints():
+    assert go(["slopes", "x0", "0"]) == (0, "right 2^1\n", "")
+    assert go(["slopes", "x0", "1", "--json"]) == (0, '{"left_log2": -1, "right_log2": null}\n', "")
+
 def test_lattice_command():
     rc, out, _ = go(["lattice", "6", "4"])
     assert rc == 0
@@ -265,6 +282,19 @@ def test_lax_exponents_are_usage_errors():
         assert "bad exponent" in err
     assert go(["parse", "x0^+2 x0^-1"]) == go(["parse", "x0"])
 
+
+def test_unknown_symbol_error_names_the_symbol():
+    assert go(["parse", "x2"]) == (2, "", "error: unknown symbol 'x2'\n")
+
+
+def test_malformed_target_error_names_the_format():
+    assert go(["synthesize", "x0", "--target", "1"]) == (
+        2, "", "error: --target takes c,d (two integers), got '1'\n"
+    )
+
+
+def test_lattice_with_three_integers_is_a_usage_error():
+    assert go(["lattice", "1", "2", "3"]) == (2, "", "error: lattice takes two or four integers\n")
 
 def test_internal_errors_exit_3(monkeypatch):
     # a pruner that drops every witness makes synthesis refuse its own output
