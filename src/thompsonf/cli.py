@@ -57,7 +57,7 @@ from .synthesis import (
     finite_index_pair,
     synthesize,
 )
-from .words import _int_max_str_digits, parse_dyadic, word_to_text
+from .words import _int_max_str_digits, parse_dyadic, parse_int, word_to_text
 
 _BUILTINS = {"x0": X0, "x1": X1, "id": IDENTITY}
 
@@ -189,7 +189,7 @@ def _cmd_synthesize(args) -> int:
     f = resolve_element(args.element)
     c, _, d = args.target.partition(",")
     try:
-        target = int(c), int(d)
+        target = parse_int(c), parse_int(d)
     except ValueError:
         raise ValueError(f"--target takes c,d (two integers), got {args.target!r}") from None
     return _emit_synthesis(synthesize(f, *target), args)
@@ -343,10 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add("uvw", _cmd_uvw, "the moved triple u -> v -> w of f or f^-1", element, as_json)
 
     p = add("lattice", _cmd_lattice, "index and companions of integer vectors", as_json)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int, nargs="?")
-    p.add_argument("d", type=int, nargs="?")
+    p.add_argument("a", type=parse_int)
+    p.add_argument("b", type=parse_int)
+    p.add_argument("c", type=parse_int, nargs="?")
+    p.add_argument("d", type=parse_int, nargs="?")
 
     p = add("synthesize", _cmd_synthesize, "build a certified partner for a target image",
             element, out, cert, as_json)
@@ -358,14 +358,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("certify", _cmd_certify, "check a certificate file", as_json)
     p.add_argument("certificate")
-    p.add_argument("--depth", type=int, help="use the length-bounded closure")
+    p.add_argument("--depth", type=parse_int, help="use the length-bounded closure")
 
     p = add("export", _cmd_export, "emit the tree pair as graphviz", element, out)
     p.add_argument("--dot", action="store_true", help="DOT output (the default)")
 
     p = add("corpus", _cmd_corpus, "reproducible randomized synthesis sweep", as_json)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--count", type=parse_int, default=50)
 
     return parser
 

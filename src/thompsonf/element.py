@@ -13,7 +13,6 @@ The generators:
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
@@ -23,6 +22,7 @@ from .words import (
     check_word,
     flip_word,
     is_complete_prefix_code,
+    parse_int,
     word_from_text,
     word_to_dyadic,
     word_to_text,
@@ -156,20 +156,6 @@ def _merge(fp, gp) -> list[tuple[Word, Word]]:
     return out
 
 
-def common_refinement(code1, code2) -> list[Word]:
-    """Leaves of the union of the two codes' trees (coarsest common refinement).
-
-    Both codes must be complete prefix codes listed in interval order, as the
-    domain and range of an Element are; anything else raises InvalidCode.
-    """
-    code1, code2 = list(code1), list(code2)
-    for code in (code1, code2):
-        if not is_complete_prefix_code(code):
-            raise InvalidCode(f"not a complete prefix code in interval order: {code}")
-    # merging two identity tables puts each refinement leaf on both sides
-    return [s for s, _ in _merge([(c, c) for c in code1], [(c, c) for c in code2])]
-
-
 def compose(f: Element, g: Element) -> Element:
     """The element acting as f then g (left-to-right composition)."""
     return Element(_reduce_pairs(_merge(f.pairs, g.pairs)))
@@ -270,10 +256,6 @@ def abelianize(f: Element) -> AbelianImage:
     return AbelianImage(len(u0) - len(v0), len(un) - len(vn))
 
 
-def in_derived(f: Element) -> bool:
-    return abelianize(f) == (0, 0)
-
-
 def image_of_interval(f: Element, u: Word) -> Word | None:
     """The word v with f mapping [u] linearly onto [v], or None.
 
@@ -315,21 +297,16 @@ def flip(f: Element) -> Element:
 GroupWord = tuple[tuple[str, int], ...]
 
 
-_EXPONENT = re.compile(r"[+-]?[0-9]+")
-
-
 def _parse_token(token: str) -> tuple[str, int]:
-    """One token 'name' or 'name^k' with k a non-zero integer.
-
-    k is ASCII digits with an optional sign: int() alone would also take
-    'x0^' as x0, other scripts' digits and underscores.
-    """
+    """One token 'name' or 'name^k' with k a non-zero integer, read by
+    parse_int (so 'x0^' is refused, not read as x0)."""
     name, caret, exp_s = token.partition("^")
     if not name:
         raise ValueError(f"bad group-word token: {token!r}")
-    if caret and not _EXPONENT.fullmatch(exp_s):
-        raise ValueError(f"bad exponent in group word: {token!r}")
-    exp = int(exp_s) if caret else 1
+    try:
+        exp = parse_int(exp_s) if caret else 1
+    except ValueError:
+        raise ValueError(f"bad exponent in group word: {token!r}") from None
     if exp == 0:
         raise ValueError(f"zero exponent in group word: {token!r}")
     return name, exp

@@ -96,35 +96,3 @@ def complete_basis(a: int, b: int) -> tuple[int, int]:
     # a*x + b*y = 1 and det((a,b),(-y,x)) = a*x + b*y = 1
     return -y, x
 
-
-def _primitive(v: Vec) -> tuple[Vec, int]:
-    g = math.gcd(v[0], v[1])
-    return (v[0] // g, v[1] // g), g
-
-
-def lattice_contains(basis: LatticeBasis, v: Vec) -> bool:
-    """Whether v is an integer combination of the basis vectors."""
-    (a, b), (c, d) = basis
-    det = a * d - b * c
-    if det:
-        # Cramer: s*(a,b) + t*(c,d) = v
-        s_num = v[0] * d - v[1] * c
-        t_num = a * v[1] - b * v[0]
-        return s_num % det == 0 and t_num % det == 0
-    # degenerate: the span is a subgroup of a line (or trivial)
-    if (a, b) == (0, 0) and (c, d) == (0, 0):
-        return v == (0, 0)
-    if v == (0, 0):
-        return True
-    w = (a, b) if (a, b) != (0, 0) else (c, d)
-    e, alpha = _primitive(w)
-    beta = 0
-    if (c, d) != (0, 0) and w == (a, b):
-        # parallel by det == 0; coefficient of (c,d) along e
-        beta = (c, d)[0] // e[0] if e[0] else (c, d)[1] // e[1]
-    gamma = math.gcd(alpha, beta)
-    # v must be an integer multiple of gamma*e
-    if v[0] * e[1] != v[1] * e[0]:
-        return False
-    k = v[0] // e[0] if e[0] else v[1] // e[1]
-    return k * e[0] == v[0] and k * e[1] == v[1] and k % gamma == 0

@@ -11,6 +11,7 @@ No floating point anywhere: dyadics are normalized integer pairs.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -52,11 +53,6 @@ def words_from_texts(texts: list) -> list[Word]:
     except TypeError:
         pass
     return [word_from_text(t) for t in texts]
-
-
-def is_prefix(u: Word, v: Word) -> bool:
-    """True iff u is an initial segment of v (non-strict)."""
-    return v.startswith(u)
 
 
 def is_incomparable(u: Word, v: Word) -> bool:
@@ -182,27 +178,31 @@ def word_to_dyadic(u: Word) -> Dyadic:
     return Dyadic(int(u, 2) if u else 0, len(u))
 
 
-def interval_endpoints(u: Word) -> tuple[Dyadic, Dyadic]:
-    """Both endpoints of [u] = [.u, .u + 2^-|u|]."""
-    check_word(u)
-    k = int(u, 2) if u else 0
-    return Dyadic(k, len(u)), Dyadic(k + 1, len(u))
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer in ASCII digits with an optional sign. int() alone would
+    also take surrounding spaces, underscores and other scripts' digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_dyadic(text: str) -> Dyadic:
-    """Accept 'k/2^n', 'k/m' (m a power of two), '.bits', '0' or '1'."""
+    """Accept 'k/2^n', 'k/m' (m a power of two), '.bits', '0' or '1'; the
+    integers are read by parse_int, whitespace only around the whole point."""
     text = text.strip()
     if text.startswith("."):
         bits = check_word(text[1:])
         return word_to_dyadic(bits)
     if "/" in text:
         num_s, den_s = text.split("/", 1)
-        num = int(num_s)
+        num = parse_int(num_s)
         if den_s.startswith("2^"):
-            exp = int(den_s[2:])
-            return Dyadic(num, exp)
-        return Dyadic.from_fraction(num, int(den_s))
-    value = int(text)
+            return Dyadic(num, parse_int(den_s[2:]))
+        return Dyadic.from_fraction(num, parse_int(den_s))
+    value = parse_int(text)
     if value not in (0, 1):
         raise ValueError(f"integer dyadic must be 0 or 1: {text}")
     return Dyadic(value, 0)

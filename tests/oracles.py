@@ -11,6 +11,9 @@ gcd peeling replaced, `balanced_product` the pairwise table merging that
 tree surgery replaced in `eval_word` and `thompsonf compose`, and
 `reference_parse_element` / `reference_parse_group_word` the line-by-line and
 token-by-token loops that the split-once text parsers replaced.
+`lattice_contains`, `in_derived`, `common_refinement`, `interval_endpoints`
+and `is_prefix` were public functions that nothing in the package called;
+the tests that check with them or check them keep them here.
 """
 
 import re
@@ -24,6 +27,8 @@ from thompsonf.element import (
     AbelianImage,
     Element,
     GroupWord,
+    InvalidCode,
+    _merge,
     abelianize,
     compose,
     eval_word,
@@ -32,7 +37,13 @@ from thompsonf.element import (
     image_of_interval,
     invert,
 )
-from thompsonf.words import Word, is_complete_prefix_code, word_from_text
+from thompsonf.words import (
+    Dyadic,
+    Word,
+    check_word,
+    is_complete_prefix_code,
+    word_from_text,
+)
 
 Relation = tuple[Word, Word]
 
@@ -307,6 +318,65 @@ def reference_rectangular_split(a: int, b: int) -> tuple[int, int]:
         if (a // g) % prime == 0:
             q *= prime**mult
     return g // q, q
+
+
+def lattice_contains(basis, v) -> bool:
+    """Whether v is an integer combination of the basis vectors."""
+    (a, b), (c, d) = basis
+    det = a * d - b * c
+    if det:
+        # Cramer: s*(a,b) + t*(c,d) = v
+        s_num = v[0] * d - v[1] * c
+        t_num = a * v[1] - b * v[0]
+        return s_num % det == 0 and t_num % det == 0
+    # degenerate: the span is a subgroup of a line (or trivial)
+    if (a, b) == (0, 0) and (c, d) == (0, 0):
+        return v == (0, 0)
+    if v == (0, 0):
+        return True
+    w = (a, b) if (a, b) != (0, 0) else (c, d)
+    alpha = gcd(*w)
+    e = (w[0] // alpha, w[1] // alpha)  # w = alpha * e, e primitive
+    beta = 0
+    if (c, d) != (0, 0) and w == (a, b):
+        # parallel by det == 0; coefficient of (c,d) along e
+        beta = (c, d)[0] // e[0] if e[0] else (c, d)[1] // e[1]
+    gamma = gcd(alpha, beta)
+    # v must be an integer multiple of gamma*e
+    if v[0] * e[1] != v[1] * e[0]:
+        return False
+    k = v[0] // e[0] if e[0] else v[1] // e[1]
+    return k * e[0] == v[0] and k * e[1] == v[1] and k % gamma == 0
+
+
+def in_derived(f: Element) -> bool:
+    return abelianize(f) == (0, 0)
+
+
+def common_refinement(code1, code2) -> list[Word]:
+    """Leaves of the union of the two codes' trees (coarsest common refinement).
+
+    Both codes must be complete prefix codes listed in interval order, as the
+    domain and range of an Element are; anything else raises InvalidCode.
+    """
+    code1, code2 = list(code1), list(code2)
+    for code in (code1, code2):
+        if not is_complete_prefix_code(code):
+            raise InvalidCode(f"not a complete prefix code in interval order: {code}")
+    # merging two identity tables puts each refinement leaf on both sides
+    return [s for s, _ in _merge([(c, c) for c in code1], [(c, c) for c in code2])]
+
+
+def interval_endpoints(u: Word) -> tuple[Dyadic, Dyadic]:
+    """Both endpoints of [u] = [.u, .u + 2^-|u|]."""
+    check_word(u)
+    k = int(u, 2) if u else 0
+    return Dyadic(k, len(u)), Dyadic(k + 1, len(u))
+
+
+def is_prefix(u: Word, v: Word) -> bool:
+    """True iff u is an initial segment of v (non-strict)."""
+    return v.startswith(u)
 
 
 def self_check_blocks(result) -> None:

@@ -23,7 +23,6 @@ from thompsonf import (
     eval_word,
     has_branch_pair,
     invert,
-    lattice_contains,
     power,
     synthesize,
 )
@@ -37,7 +36,7 @@ from thompsonf.cli import random_nontrivial
 from thompsonf.lattice import companion_rectangular, index_of
 
 from conftest import GENS
-from oracles import brute_force_relations, enumerate_ball, relation
+from oracles import brute_force_relations, enumerate_ball, lattice_contains, relation
 import random
 
 

@@ -283,6 +283,36 @@ def test_lax_exponents_are_usage_errors():
     assert go(["parse", "x0^+2 x0^-1"]) == go(["parse", "x0"])
 
 
+LAX_INTEGERS = [
+    ["synthesize", "x0", "--target", "1_0, \u0661"],
+    ["synthesize", "x0", "--target", "1_0,1"],
+    ["synthesize", "x0", "--target", " 1,1"],
+    ["lattice", "1_0", "\u0663"],
+    ["lattice", "1_0", "3"],
+    ["lattice", "2", "0", "0", " 3"],
+    ["eval", "x0", "\u0661/2^1"],
+    ["eval", "x0", "\u0661/2"],
+    ["eval", "x0", " 1_1/2^0_4 "],
+    ["eval", "x0", "1/ 4"],
+    ["certify", "{cert}", "--depth", "\u0665"],
+    ["corpus", "--seed", "\u0669"],
+    ["corpus", "--count", "1_0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", LAX_INTEGERS, ids=[" ".join(map(repr, argv)) for argv in LAX_INTEGERS]
+)
+def test_lax_integers_are_usage_errors(cli_files, argv):
+    # int() would read each of these: (10, 1), (10, 3), 3/4, 27/32, depth 5, seed 9
+    assert go([arg.format(**cli_files) for arg in argv])[:2] == (2, "")
+
+
+def test_points_may_have_whitespace_around_them_only():
+    assert go(["eval", "x0", " 1/4 "]) == go(["eval", "x0", "1/4"]) == (0, "1/2\n", "")
+    assert go(["eval", "x0", "+1/2^2"])[:2] == (0, "1/2\n")
+
+
 def test_unknown_symbol_error_names_the_symbol():
     assert go(["parse", "x2"]) == (2, "", "error: unknown symbol 'x2'\n")
 

@@ -17,7 +17,6 @@ from thompsonf import (
     from_codes,
     has_branch_pair,
     image_of_interval,
-    in_derived,
     invert,
     parse_element,
     parse_group_word,
@@ -29,6 +28,7 @@ from thompsonf.element import InvalidCode, LengthMismatch, UnknownSymbol
 from thompsonf.words import Dyadic, ONE, ZERO, word_to_dyadic
 
 from conftest import elements, group_words
+from oracles import in_derived
 
 dyadic_points = st.integers(0, 10).flatmap(
     lambda e: st.tuples(st.integers(0, 2 ** e), st.just(e))

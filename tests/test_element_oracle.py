@@ -22,7 +22,6 @@ from thompsonf import (
     Element,
     InvalidCode,
     UnknownSymbol,
-    common_refinement,
     compose,
     eval_word,
     evaluate,
@@ -38,7 +37,7 @@ from thompsonf import element
 from thompsonf.element import _reduce_pairs
 from thompsonf.words import Dyadic, word_to_dyadic
 
-from oracles import balanced_product
+from oracles import balanced_product, common_refinement
 
 # --- reference implementations -------------------------------------------------
 

@@ -12,10 +12,9 @@ from thompsonf.lattice import (
     companion_rectangular,
     complete_basis,
     index_of,
-    lattice_contains,
 )
 
-from oracles import reference_rectangular_split
+from oracles import lattice_contains, reference_rectangular_split
 
 vecs = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 

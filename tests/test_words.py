@@ -9,14 +9,15 @@ from thompsonf.words import (
     ONE,
     ZERO,
     in_B_prime,
-    interval_endpoints,
     interval_less,
     is_complete_prefix_code,
     is_incomparable,
-    is_prefix,
     parse_dyadic,
+    parse_int,
     word_to_dyadic,
 )
+
+from oracles import interval_endpoints, is_prefix
 
 # normalized points of [0,1]: numerator drawn within the exponent's range
 raw = st.integers(0, 12).flatmap(
@@ -106,10 +107,20 @@ def test_parse_dyadic(text, num, exp):
     assert parse_dyadic(text) == Dyadic(num, exp)
 
 
-@pytest.mark.parametrize("text", ["1/3", "2/5", "x", "", "1/0", "9/8", "2"])
+@pytest.mark.parametrize(
+    "text",
+    ["1/3", "2/5", "x", "", "1/0", "9/8", "2", "1_0/2^4", "\u0661/2", "1/2^0_4", "1/ 2"],
+)
 def test_parse_dyadic_rejects(text):
     with pytest.raises(ValueError):
         parse_dyadic(text)
+
+
+def test_parse_int_reads_ascii_digits_with_an_optional_sign():
+    assert [parse_int(t) for t in ("0", "-12", "+3", "007")] == [0, -12, 3, 7]
+    for text in ("", "+", " 1", "1 ", "1_0", "\u0663", "1.0", "0x1"):
+        with pytest.raises(ValueError):
+            parse_int(text)
 
 
 @given(st.text(alphabet="01", min_size=0, max_size=12))
