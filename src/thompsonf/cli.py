@@ -31,6 +31,7 @@ from .element import (
     Element,
     GroupWord,
     UnknownSymbol,
+    _plan,
     _tree_product,
     abelianize,
     eval_word,
@@ -100,7 +101,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    out = _tree_product([(resolve_element(ref), 1) for ref in args.elements])
+    out = _tree_product([(_plan(resolve_element(ref)), 1) for ref in args.elements])
     return _write_or_print(format_element(out), args.out)
 
 

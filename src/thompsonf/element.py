@@ -19,6 +19,7 @@ from operator import itemgetter
 from .words import (
     Dyadic,
     Word,
+    _are_complete_codes,
     check_word,
     flip_word,
     is_complete_prefix_code,
@@ -106,9 +107,9 @@ def from_branch_pairs(pairs) -> Element:
     pairs = list(pairs)
     domain = [u for u, _ in pairs]
     rng = [v for _, v in pairs]
-    if not is_complete_prefix_code(domain):
-        raise InvalidCode(f"domain is not a complete prefix code: {domain}")
-    if not is_complete_prefix_code(rng):
+    if not _are_complete_codes((domain, rng)):  # then check the domain alone, to name the code
+        if not is_complete_prefix_code(domain):
+            raise InvalidCode(f"domain is not a complete prefix code: {domain}")
         raise InvalidCode(f"range is not a complete prefix code: {rng}")
     return Element(_reduce_pairs(pairs))
 
@@ -332,53 +333,105 @@ def _leaves(tree) -> list[tuple[int, Word]]:
     out, stack = [], [(tree, "")]
     while stack:
         node, w = stack.pop()
-        if node.__class__ is int:
-            out.append((node, w))
-        else:
-            stack += ((node[1], w + "1"), (node[0], w + "0"))
+        while node.__class__ is not int:  # down the left edge, right children to the stack
+            stack.append((node[1], w + "1"))
+            node = node[0]
+            w += "0"
+        out.append((node, w))
     return out
 
 
-def _tree_product(factors: list[tuple[Element, int]]) -> Element:
-    """The left-to-right product of f^k over the (f, k) factors, by tree surgery.
+def _split(where, leaf: int) -> list:
+    """Split domain leaf `leaf` into leaves `leaf` and a new id, in place, and
+    return the range tree's caret over the same two ids."""
+    parent, side = where[leaf]
+    new = len(where)
+    parent[side] = split = [leaf, new]
+    where[leaf] = (split, 0)
+    where.append((split, 1))
+    return [leaf, new]
+
+
+def _plan(f: Element):
+    """How _tree_product applies f: 0 for X0 and 1 for X1, the depth of the
+    range node they rotate, else f's cut-and-regrow programs for f and f^-1."""
+    if f.pairs == X0.pairs:
+        return 0
+    if f.pairs == X1.pairs:
+        return 1
+    # per leaf, the carets a tree's preorder enters just before it (its
+    # trailing 0s) and those its postorder closes just after it (its 1s)
+    (d0, d1), (r0, r1) = ([[len(u) - len(u.rstrip(b)) for u in code] for b in "01"]
+                          for code in (f.domain, f.range))
+    return [*zip(d0, r1)], [*zip(r0, d1)]
+
+
+def _tree_product(steps) -> Element:
+    """The left-to-right product of f^k over the (_plan(f), k) steps, by tree surgery.
 
     One tree pair of nested [left, right] lists, domain leaf i onto range leaf
-    i: applying f cuts the range tree along f's domain tree and regrows the
-    pieces, in order, along f's range tree (f^-1 swaps them), splitting a range
-    leaf the cut enters and its domain partner: at most 1 + sum |k| carets(f) pairs.
+    i. A factor whose table is X0's or X1's is a rotation: x0 turns the range
+    tree's root from [[a, b], c] into [a, [b, c]], x1 does the same at the
+    root's right child, and k < 0 turns it back, |k| times. Any other f cuts
+    the range tree along f's domain tree and regrows the pieces, in order,
+    along f's range tree (f^-1 swaps them). Both split a range leaf where f's
+    domain tree (its range tree for f^-1) has a caret, and its domain partner,
+    by _split; the carets a rotation needs are exactly those, so it makes the
+    cut's splits and the same unreduced table: at most 1 + sum |k| carets(f)
+    pairs.
     """
-    programs, top, rng = {}, [0], 0
+    top, box = [0], [None, 0]  # the domain tree is top[0], the range tree box[1]
     where = [(top, 0)]  # leaf id -> (parent list, side) in the domain tree
-    for f, k in factors:
-        if f not in programs:
-            # per leaf, the carets a tree's preorder enters just before it (its
-            # trailing 0s) and those its postorder closes just after it (its 1s)
-            (d0, d1), (r0, r1) = ([[len(u) - len(u.rstrip(b)) for u in code] for b in "01"]
-                                  for code in (f.domain, f.range))
-            programs[f] = [*zip(d0, r1)], [*zip(r0, d1)]
-        program = programs[f][k < 0]
+    for plan, k in steps:
+        if plan.__class__ is int:
+            holder = box
+            if plan:
+                holder = box[1]
+                if holder.__class__ is int:
+                    holder = box[1] = _split(where, holder)
+            if k > 0:
+                for _ in range(k):
+                    node = holder[1]
+                    if node.__class__ is int:
+                        node = _split(where, node)
+                    left = node[0]
+                    if left.__class__ is int:
+                        left = _split(where, left)
+                    holder[1] = [left[0], [left[1], node[1]]]
+            else:
+                for _ in range(-k):
+                    node = holder[1]
+                    if node.__class__ is int:
+                        node = _split(where, node)
+                    right = node[1]
+                    if right.__class__ is int:
+                        right = _split(where, right)
+                    holder[1] = [[node[0], right[0]], right[1]]
+            continue
+        program = plan[k < 0]
         for _ in range(abs(k)):
-            todo, built = [rng], []
+            todo, built = [box[1]], []
             for carets, joins in program:
                 node = todo.pop()
                 while carets:
                     carets -= 1
                     if node.__class__ is int:
-                        parent, side = where[node]
-                        parent[side] = split = [node, len(where)]
-                        where[node] = (split, 0)
-                        todo.append(len(where))
-                        where.append((split, 1))
-                    else:
-                        todo.append(node[1])
-                        node = node[0]
+                        node = _split(where, node)
+                    todo.append(node[1])
+                    node = node[0]
                 while joins:
                     joins -= 1
                     node = [built.pop(), node]
                 built.append(node)
-            rng = built.pop()
-    image = dict(_leaves(rng))
+            box[1] = built.pop()
+    image = dict(_leaves(box[1]))
     return Element(_reduce_pairs([(u, image[i]) for i, u in _leaves(top[0])]))
+
+
+def _squares(f: Element) -> bool:
+    """True iff f^k has so few carets that a long run is cheaper squared by
+    power first: c > 4b, c = carets(f) and b = carets(f^2) - c."""
+    return 4 * (len(compose(f, f).pairs) - len(f.pairs)) < len(f.pairs) - 1
 
 
 def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
@@ -388,13 +441,16 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
     that would cancel. Adjacent letters with the same name are then folded
     into one run on a stack: x^a x^b becomes x^(a+b), a run summing to 0 is
     dropped and the fold cascades, so x0 x1 x1^-1 x0 gives x0^2. A lone run
-    is one power. Several are multiplied by _tree_product: O(L) list moves and
-    no table merge, L the sum of |k| carets(f) over the runs f^k, where the
-    balanced product it replaced merged O(L log n) pairs for n runs (bench
-    long_words medians: 339 -> 595 requests/s, 1.87 -> 1.29 ms per request).
-    Identity runs are dropped. f^k has about c + |k| b carets, c = carets(f)
-    and b = carets(f^2) - c, so with |k| and c over 8 and c > 4b the run is
-    cheaper squared by power first, which merges O((c + |k| b) log |k|) pairs.
+    is one power. Several are multiplied by _tree_product, each distinct name
+    set up once: its identity test, its plan (x0 and x1 rotate the range
+    tree) and, at its first run with |k| > 8, whether it squares. That is
+    O(L) list moves and no table merge, L the sum of |k| carets(f) over the
+    runs f^k (bench long_words, 10 alternating pairs of 25 s runs, medians:
+    751 -> 950 requests/s and p50 1.01 -> 0.84 ms when x0 and x1 became
+    rotations instead of cut-and-regrow programs). Identity runs are dropped.
+    f^k has about c + |k| b carets, c = carets(f) and b = carets(f^2) - c, so
+    with |k| and c over 8 and c > 4b the run is cheaper squared by power
+    first, which merges O((c + |k| b) log |k|) pairs.
     """
     runs: list[tuple[str, int]] = []
     for name, exp in word:
@@ -404,12 +460,32 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
             exp += runs.pop()[1]
         if exp:
             runs.append((name, exp))
-    steps = [(assignment[name], exp) for name, exp in runs if not assignment[name].is_identity()]
+    if len(runs) < 2:
+        if not runs:
+            return IDENTITY
+        (name, k), = runs
+        f = assignment[name]
+        return IDENTITY if f.is_identity() else power(f, k)
+    named, squares, steps = {}, {}, []
+    for name, k in runs:
+        if name not in named:
+            f = assignment[name]
+            named[name] = None if f.is_identity() else (f, _plan(f))
+        entry = named[name]
+        if entry is None:
+            continue
+        f, plan = entry
+        if not -9 < k < 9 and len(f.pairs) > 9:
+            if name not in squares:
+                squares[name] = _squares(f)
+            if squares[name]:
+                f, k = power(f, k), 1
+                plan = _plan(f)
+        steps.append((plan, k))
+        last = f, k
     if len(steps) < 2:
-        return power(*steps[0]) if steps else IDENTITY
-    return _tree_product([(power(f, k), 1) if min(abs(k), len(f.pairs) - 1) > 8
-                          and 4 * (len(compose(f, f).pairs) - len(f.pairs)) < len(f.pairs) - 1
-                          else (f, k) for f, k in steps])
+        return power(*last) if steps else IDENTITY
+    return _tree_product(steps)
 
 
 # --- text codec -------------------------------------------------------------

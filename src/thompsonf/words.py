@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 Word = str
 
@@ -217,13 +218,24 @@ def is_complete_prefix_code(branches) -> bool:
     interval lengths 2^-|u| sum to 1. Each pass but the sum is one C loop;
     tests/oracles.py keeps the endpoint scan as a reference.
     """
-    branches = list(branches)
-    if not branches or not _is_binary("".join(branches)):
+    return _are_complete_codes((list(branches),))
+
+
+def _are_complete_codes(codes) -> bool:
+    """True iff every list of words in codes passes is_complete_prefix_code.
+
+    In a sorted code with no word a prefix of the next the interval lengths
+    sum to at most 1 (Kraft), so they sum to 1 in each code iff they sum to
+    len(codes) over all of them: one join, two counts and one length census
+    serve every code, and only the sort and the prefix scan are per code.
+    """
+    if not all(codes):
         return False
-    counts = Counter(map(len, branches))  # one shift per distinct length below
+    words = list(chain.from_iterable(codes))
+    if not _is_binary("".join(words)):
+        return False
+    counts = Counter(map(len, words))  # one shift per distinct length below
     top = max(counts)
-    return (
-        sorted(branches) == branches
-        and not any(map(str.startswith, branches[1:], branches))
-        and sum(n << (top - k) for k, n in counts.items()) == 1 << top
+    return sum(n << (top - k) for k, n in counts.items()) == len(codes) << top and all(
+        sorted(code) == code and not any(map(str.startswith, code[1:], code)) for code in codes
     )

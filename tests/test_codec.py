@@ -25,7 +25,13 @@ from thompsonf.certify import (
     certify_normal_generation,
 )
 from thompsonf.cli import corpus_entries
-from thompsonf.words import is_complete_prefix_code, word_from_text, words_from_texts
+from thompsonf.element import InvalidCode, from_branch_pairs
+from thompsonf.words import (
+    _are_complete_codes,
+    is_complete_prefix_code,
+    word_from_text,
+    words_from_texts,
+)
 
 from oracles import reference_is_complete_prefix_code
 
@@ -183,6 +189,30 @@ def test_prefix_code_check_on_every_small_list():
         lists = [code + [w] for code in lists for w in words]
         for code in lists:
             assert is_complete_prefix_code(code) == reference_is_complete_prefix_code(code)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(codes=st.lists(st.lists(_CODE_WORDS, max_size=6), min_size=1, max_size=3))
+def test_joint_code_check_matches_one_scan_per_code(codes):
+    want = all(reference_is_complete_prefix_code(code) for code in codes)
+    assert _are_complete_codes(codes) == want
+
+
+def test_joint_code_check_needs_each_sum_to_be_one():
+    # each code is sorted and the lengths sum to 2 over both, but the first
+    # holds a prefix (its sum is 3/2) and the second is incomplete (1/2)
+    assert not _are_complete_codes((["0", "00", "01", "1"], ["0"]))
+    assert not _are_complete_codes((["1", "0"], ["0", "1"]))
+    assert _are_complete_codes((["0", "1"], [""], ["00", "01", "1"]))
+
+
+def test_table_check_reports_the_domain_first():
+    bad, good = ["0", "11"], ["0", "1"]
+    for domain, rng, side in ((bad, bad, "domain"), (bad, good, "domain"), (good, bad, "range")):
+        with pytest.raises(InvalidCode, match=f"^{side} is not a complete prefix code"):
+            from_branch_pairs(zip(domain, rng))
+    with pytest.raises(TypeError):
+        from_branch_pairs([("0", "0"), ("1", 1)])
 
 
 def test_checker_materializes_only_what_the_certificate_spells(monkeypatch):

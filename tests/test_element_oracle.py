@@ -26,8 +26,10 @@ from thompsonf import (
     eval_word,
     evaluate,
     flip,
+    format_element,
     image_of_interval,
     invert,
+    parse_element,
     power,
     slope_left,
     slope_right,
@@ -179,8 +181,10 @@ def rich_words(names, exponents):
 
 rich_group_words = rich_words(tuple(GENS), (1, -1, 2, -2, 3))
 # f and g are bound to random reduced elements, so the surgery cuts along
-# trees other than the generators'
-bound_words = rich_words(("f", "g", "id"), (1, -1, 2, -2, 3, -3, 5, -5, 9, -9))
+# trees other than the generators'; x1 is X1 and x0 a copy of X0 read back
+# from its text, so their letters rotate the range tree in the same words
+bound_words = rich_words(("f", "g", "id", "x0", "x1"), (1, -1, 2, -2, 3, -3, 5, -5, 9, -9))
+READ_BACK_X0 = parse_element(format_element(X0))
 points = st.integers(0, 14).flatmap(
     lambda e: st.tuples(st.integers(0, 2 ** e), st.just(e))
 ).map(lambda a: Dyadic(*a))
@@ -267,11 +271,23 @@ def test_eval_word_edge_cases():
 @settings(max_examples=300, deadline=None)
 @given(reference_elements, reference_elements, bound_words)
 def test_eval_word_matches_left_fold_and_balanced_product(f, g, word):
-    assignment = {"f": f, "g": g, "id": IDENTITY}
+    assert READ_BACK_X0 == X0 and READ_BACK_X0 is not X0
+    assignment = {"f": f, "g": g, "id": IDENTITY, "x0": READ_BACK_X0, "x1": X1}
     got = eval_word(word, assignment).pairs
     assert got == reference_eval_word(word, assignment).pairs
     steps = [power(assignment[name], exp) for name, exp in word]
     assert got == balanced_product(steps).pairs
+
+
+def test_generators_rotate_when_read_back_from_text():
+    # the plan is chosen by table, so a copy of x0 or x1 rotates like the original
+    assert element._plan(READ_BACK_X0) == element._plan(X0) == 0
+    assert element._plan(parse_element(format_element(X1))) == element._plan(X1) == 1
+    # any other table gets its cut-and-regrow programs for f and f^-1
+    assert element._plan(compose(X0, X1)) == (
+        [(2, 0), (1, 0), (0, 0), (0, 3)],
+        [(1, 0), (1, 0), (1, 2), (0, 1)],
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +342,8 @@ def test_eval_word_squares_runs_whose_powers_grow_slowly(monkeypatch):
     # f = h x0 h^-1 has 26 carets, but each power adds about two: applying f^k
     # by surgery would move |k| carets(f) leaves, so power squares it first.
     # The partner g of x0 at (1, 1) grows by 3 carets a power against its 11,
-    # and its runs stay in the surgery, as do runs of |k| <= 8.
+    # and its runs stay in the surgery, as do runs of |k| <= 8. Each name is
+    # squared to decide this at most once, at its first run with |k| > 8.
     rng = random.Random(7)
     h = tuple((rng.choice(("x0", "x1")), rng.choice((1, -1))) for _ in range(60))
     f = eval_word(h + (("x0", 1),) + tuple((a, -e) for a, e in reversed(h)), GENS)
@@ -334,15 +351,22 @@ def test_eval_word_squares_runs_whose_powers_grow_slowly(monkeypatch):
     assert (len(f.pairs), len(power(f, 2).pairs)) == (27, 29)
     assert (len(g.pairs), len(power(g, 2).pairs)) == (12, 15)
     calls, real_power = [], element.power
+    squared, real_squares = [], element._squares
 
     def counting_power(e, k):
         calls.append(k)
         return real_power(e, k)
 
+    def recording_squares(e):
+        squared.append(e)
+        return real_squares(e)
+
     monkeypatch.setattr(element, "power", counting_power)
+    monkeypatch.setattr(element, "_squares", recording_squares)
     word = (("f", 300), ("x1", 1), ("g", 40), ("f", -9), ("g", -2), ("f", 8))
     assignment = {"f": f, "g": g, "x1": X1}
     got = eval_word(word, assignment)
     assert calls == [300, -9]
+    assert squared == [f, g]
     monkeypatch.undo()
     assert got == balanced_product([power(assignment[name], k) for name, k in word])
