@@ -31,8 +31,6 @@ from .element import (
     Element,
     GroupWord,
     UnknownSymbol,
-    _plan,
-    _tree_product,
     abelianize,
     eval_word,
     evaluate,
@@ -101,7 +99,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    out = _tree_product([(_plan(resolve_element(ref)), 1) for ref in args.elements])
+    """The product of the arguments, each bound to a name of its own."""
+    named = {str(i): resolve_element(ref) for i, ref in enumerate(args.elements)}
+    out = eval_word(tuple((name, 1) for name in named), named)
     return _write_or_print(format_element(out), args.out)
 
 
@@ -283,6 +283,8 @@ def corpus_entries(seed: int, count: int):
 
 
 def _cmd_corpus(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     cases = [
         {
             "case": i,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
+from typing import NamedTuple
 
 from .words import (
     Dyadic,
@@ -231,24 +232,14 @@ def slope_left(f: Element, t: Dyadic) -> int:
     return len(u) - len(v)
 
 
-class AbelianImage(tuple):
+class AbelianImage(NamedTuple):
     """(log2 slope at 0+, log2 slope at 1-); the abelianization in Z^2."""
 
-    __slots__ = ()
-
-    def __new__(cls, at_zero: int, at_one: int):
-        return super().__new__(cls, (at_zero, at_one))
-
-    @property
-    def at_zero(self) -> int:
-        return self[0]
-
-    @property
-    def at_one(self) -> int:
-        return self[1]
+    at_zero: int
+    at_one: int
 
     def __repr__(self):
-        return f"({self[0]},{self[1]})"
+        return f"({self.at_zero},{self.at_one})"
 
 
 def abelianize(f: Element) -> AbelianImage:

@@ -39,16 +39,8 @@ from .certify import (
     closure_seeds,
     queried_words,
 )
-from .dynamics import IdentityInput, PreconditionViolated, find_uvw, zero_tail_pair
-from .element import (
-    AbelianImage,
-    Element,
-    GroupWord,
-    abelianize,
-    flip,
-    from_codes,
-    invert,
-)
+from .dynamics import IdentityInput, PreconditionViolated, find_uvw
+from .element import AbelianImage, Element, GroupWord, abelianize, from_codes
 from .lattice import companion_rectangular, complete_basis, index_of
 from .words import Word
 
@@ -118,17 +110,16 @@ def build_scaffold_tree(
     u: Word, v: Word, w: Word, right_chain: int = 0, left_chain: int = 0
 ) -> Tree:
     """Scaffold around the moved triple: branches u, v0, v1, w0, w10, w11,
-    padded so at least three branches follow w11, then optional all-ones /
-    all-zeros chains hung at the outer branches (the rigid ends of the
-    boundary constructions shift along these)."""
-    T = complete_tree([u, v + "0", v + "1", w + "0", w + "10", w + "11"])
+    with the all-ones branch 3 longer when fewer than three branches follow
+    w11, then right_chain longer, and the all-zeros branch left_chain longer
+    (the rigid ends of the boundary constructions shift along these chains).
+    The tree around the six words alone sizes the two outer words; one more
+    `complete_tree` call grows the tree with them among its required words."""
+    words = [u, v + "0", v + "1", w + "0", w + "10", w + "11"]
+    T = complete_tree(words)
     after = len(T) - T.index(w + "11") - 1
-    if after < 3:
-        T = attach_all(T, {T[-1]: complete_tree(["111"])})
-    if right_chain:
-        T = attach_all(T, {T[-1]: complete_tree(["1" * right_chain])})
-    if left_chain:
-        T = attach_all(T, {T[0]: complete_tree(["0" * left_chain])})
+    right = len(T[-1]) + right_chain + (3 if after < 3 else 0)
+    T = complete_tree([*words, "1" * right, "0" * (len(T[0]) + left_chain)])
     k, n = T.index(w + "0") + 1, len(T)
     if not 5 <= k <= n - 5:
         raise AssertionError(f"scaffold too small around w0: {(k, n)}")
@@ -218,12 +209,12 @@ def _certified(result: SynthesisResult) -> SynthesisResult:
 
 def _tail_pair(f: Element, t: str) -> TailPair:
     """(h's one-letter word, n, m): h is whichever of f, f^-1 has slope > 1
-    at end t, with tail pair t^n -> t^m, n > m >= 0. At 1 it is read at 0
-    of flip(h), whose first row is h's last one complemented."""
-    h_sign = 1 if abelianize(f)[int(t)] > 0 else -1
-    h = f if h_sign > 0 else invert(f)
-    n, m = zero_tail_pair(flip(h) if t == "1" else h, "")
-    return (("f", h_sign),), n, m
+    at end t, with tail pair t^n -> t^m, n > m >= 0. It is f's end row, the
+    first at 0 and the last at 1, read toward its longer word: f^-1 swaps
+    the row's sides. Needs slope != 1 at t."""
+    x, y = f.pairs[0] if t == "0" else f.pairs[-1]
+    n, m = sorted((len(x), len(y)), reverse=True)
+    return (("f", 1 if len(x) > len(y) else -1),), n, m
 
 
 def _end(

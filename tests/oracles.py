@@ -14,6 +14,9 @@ token-by-token loops that the split-once text parsers replaced.
 `lattice_contains`, `in_derived`, `common_refinement`, `interval_endpoints`
 and `is_prefix` were public functions that nothing in the package called;
 the tests that check with them or check them keep them here.
+`left_fixed_boundary` and `zero_tail_pair` are the searches that reading
+f's first moving row and its end rows replaced; `reference_uvw` and
+`reference_tail_pair` derive the moved triple and the tail pairs with them.
 """
 
 import re
@@ -22,16 +25,19 @@ from dataclasses import replace
 from math import gcd
 
 from thompsonf.certify import SlopeWitness, Witness
+from thompsonf.dynamics import IdentityInput, PreconditionViolated
 from thompsonf.element import (
     IDENTITY,
     AbelianImage,
     Element,
     GroupWord,
     InvalidCode,
+    _find_branch,
     _merge,
     abelianize,
     compose,
     eval_word,
+    flip,
     from_branch_pairs,
     from_codes,
     image_of_interval,
@@ -377,6 +383,66 @@ def interval_endpoints(u: Word) -> tuple[Dyadic, Dyadic]:
 def is_prefix(u: Word, v: Word) -> bool:
     """True iff u is an initial segment of v (non-strict)."""
     return v.startswith(u)
+
+
+def left_fixed_boundary(f: Element) -> Word:
+    """Word s (trailing zeros stripped) with .s the maximal fixed left boundary.
+
+    alpha = max { t : f fixes [0, t] pointwise }; the empty word encodes
+    alpha = 0. Scans the reduced diagram while u_i == v_i; alpha is the right
+    endpoint of the last fixed interval.
+    """
+    if f.is_identity():
+        raise IdentityInput("identity fixes everything")
+    last_fixed: Word | None = None
+    for u, v in f.pairs:
+        if u != v:
+            break
+        last_fixed = u
+    if last_fixed is None:
+        return ""
+    # right endpoint of [last_fixed]: binary-increment, strip trailing zeros
+    k = int(last_fixed, 2) + 1
+    return format(k, f"0{len(last_fixed)}b").rstrip("0")
+
+
+def zero_tail_pair(f: Element, s: Word) -> tuple[int, int]:
+    """(n, m) with n > m >= 0 and f carrying the branch pair s'0^n -> s'0^m.
+
+    s' is s with trailing zeros stripped. Requires f to fix .s and to have a
+    branch starting at .s with slope-log >= 1; found by the bisect locator.
+    """
+    sp = s.rstrip("0")
+    # the branch containing .sp from the right: u prefixes sp or u == sp0^n
+    u, v = f.pairs[_find_branch(f.pairs, sp, "0")]
+    if not u.startswith(sp):
+        raise PreconditionViolated(f"no branch starts at .{sp or '0'}")
+    if not (v.startswith(sp) and set(v[len(sp):]) <= {"0"}):
+        raise PreconditionViolated(f"element does not fix .{sp or '0'}")
+    n, m = len(u) - len(sp), len(v) - len(sp)
+    if n <= m:
+        raise PreconditionViolated(f"slope at .{sp or '0'}+ is 2^{m - n}, need >= 2")
+    return n, m
+
+
+def reference_uvw(f: Element) -> tuple[int, Word, Word, Word]:
+    """(sign, u, v, w) as `find_uvw` derived them by search: the tail pair at
+    the fixed boundary of f, or of f^-1 where f's fails."""
+    sp = left_fixed_boundary(f)
+    try:
+        sign, (n, m) = 1, zero_tail_pair(f, sp)
+    except PreconditionViolated:
+        sign, (n, m) = -1, zero_tail_pair(invert(f), sp)
+    return sign, sp + "0" * (2 * n - m) + "1", sp + "0" * n + "1", sp + "0" * m + "1"
+
+
+def reference_tail_pair(f: Element, t: str) -> tuple[GroupWord, int, int]:
+    """`synthesis._tail_pair` by search: the tail pair at 0 of h, or of
+    flip(h) for the end at 1, h = f or f^-1 as f's slope there says."""
+    sign = 1 if abelianize(f)[int(t)] > 0 else -1
+    h = f if sign > 0 else invert(f)
+    n, m = zero_tail_pair(flip(h) if t == "1" else h, "")
+    return (("f", sign),), n, m
 
 
 def self_check_blocks(result) -> None:

@@ -308,6 +308,11 @@ def test_lax_integers_are_usage_errors(cli_files, argv):
     assert go([arg.format(**cli_files) for arg in argv])[:2] == (2, "")
 
 
+def test_negative_corpus_count_is_a_usage_error():
+    assert go(["corpus", "--count", "-3"]) == (2, "", "error: --count must be at least 0, got -3\n")
+    assert go(["corpus", "--count", "0"])[:2] == (0, "passed 0/0\nparts: \n")
+
+
 def test_points_may_have_whitespace_around_them_only():
     assert go(["eval", "x0", " 1/4 "]) == go(["eval", "x0", "1/4"]) == (0, "1/2\n", "")
     assert go(["eval", "x0", "+1/2^2"])[:2] == (0, "1/2\n")

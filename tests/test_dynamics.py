@@ -12,18 +12,13 @@ from thompsonf import (
     invert,
     power,
 )
-from thompsonf.dynamics import (
-    IdentityInput,
-    PreconditionViolated,
-    find_uvw,
-    left_fixed_boundary,
-    zero_tail_pair,
-)
+from thompsonf.dynamics import IdentityInput, PreconditionViolated, find_uvw
 from thompsonf.words import in_B_prime, interval_less, word_to_dyadic
 from thompsonf.element import evaluate
 from thompsonf.synthesis import _tail_pair
 
 from conftest import elements
+from oracles import left_fixed_boundary, reference_tail_pair, reference_uvw, zero_tail_pair
 
 
 def as_tuple(t):
@@ -108,6 +103,21 @@ def test_tail_pair_contract(f):
         assert has_branch_pair(f if sign > 0 else invert(f), t * n, t * m)
         if t == "1":
             assert _tail_pair(f, "1") == _tail_pair(flip(f), "0")
+
+
+@settings(max_examples=200)
+@given(elements)
+@example(invert(X1))  # alpha = 1/2 and h = f^-1: the first moving row is the second
+@example(power(X1, -600))
+def test_row_reads_match_the_searches(f):
+    # the triple and the tail pairs read off f's rows are what the fixed
+    # boundary and tail pair searches derive, on f or on invert(f)
+    if f.is_identity():
+        return
+    assert as_tuple(find_uvw(f)) == reference_uvw(f)
+    for t, slope in zip("01", abelianize(f)):
+        if slope:
+            assert _tail_pair(f, t) == reference_tail_pair(f, t)
 
 
 def test_uvw_handles_elements_fixing_a_left_interval():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import thompsonf
-from thompsonf import element, lattice, words
+from thompsonf import dynamics, element, lattice, words
 
 PACKAGE = Path(thompsonf.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,7 +70,6 @@ EXPORTED = (
     "slope_right",
     "synthesize",
     "word_to_dyadic",
-    "zero_tail_pair",
 )
 
 REMOVED = (
@@ -81,11 +80,13 @@ REMOVED = (
     "interval_endpoints",
     "is_prefix",
     "lattice_contains",
+    "zero_tail_pair",
 )
 
 
 def test_exports_are_pinned():
     assert tuple(thompsonf.__all__) == EXPORTED
+    assert len(EXPORTED) == 57
 
 
 def test_every_export_resolves():
@@ -120,5 +121,7 @@ def test_removed_functions_are_gone_from_their_modules():
     assert not hasattr(element, "in_derived")
     assert not hasattr(lattice, "lattice_contains")
     assert not hasattr(lattice, "_primitive")
+    assert not hasattr(dynamics, "left_fixed_boundary")
+    assert not hasattr(dynamics, "zero_tail_pair")
     # the constants stay where the tests read them
     assert (words.ZERO, words.ONE) == (words.Dyadic(0, 0), words.Dyadic(1, 0))
