@@ -560,49 +560,6 @@ class CertificateFormatError(ValueError):
         self.detail = detail
 
 
-def _element_to_obj(e: Element) -> dict:
-    return {
-        "domain": [word_to_text(u) for u in e.domain],
-        "range": [word_to_text(v) for v in e.range],
-    }
-
-
-def _witness_to_obj(wit: Witness) -> dict:
-    return {
-        "word": format_group_word(wit.word),
-        "lhs": word_to_text(wit.lhs),
-        "rhs": word_to_text(wit.rhs),
-    }
-
-
-def _schema_to_obj(s: ShiftSchema) -> dict:
-    return {
-        "tail": s.tail,
-        "stem": word_to_text(s.stem),
-        "suffix": word_to_text(s.suffix),
-        "base_count": s.base_count,
-        "witness": _witness_to_obj(s.witness),
-    }
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "format": FORMAT_TAG,
-        "f": _element_to_obj(cert.f),
-        "g": _element_to_obj(cert.g),
-        "tree": [word_to_text(u) for u in cert.tree],
-        "w": word_to_text(cert.w),
-        "witnesses": [_witness_to_obj(wit) for wit in cert.witnesses],
-        "left_schema": _schema_to_obj(cert.left_schema),
-        "right_schema": _schema_to_obj(cert.right_schema),
-        "slope": {
-            "word": format_group_word(cert.slope.word),
-            "alpha": word_to_text(cert.slope.alpha),
-        },
-        "depth": cert.depth,
-    }
-
-
 # json.dumps(..., indent=2) runs CPython's pure-Python encoder, one call per
 # value; certificate_to_json fills the same fixed layout in a few C calls.
 _str = json.encoder.encode_basestring_ascii
@@ -631,7 +588,8 @@ def _schema_json(s: ShiftSchema) -> str:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """json.dumps(certificate_to_dict(cert), indent=2) + "\\n", byte for byte."""
+    """The package's one writer of the certificate format: the certificate's
+    object laid out byte for byte as `json.dumps(obj, indent=2) + "\\n"` lays it out."""
     return (
         '{\n  "format": %s,\n  "f": {\n    "domain": %s,\n    "range": %s\n  },\n'
         '  "g": {\n    "domain": %s,\n    "range": %s\n  },\n  "tree": %s,\n  "w": %s,\n'
@@ -645,6 +603,11 @@ def certificate_to_json(cert: Certificate) -> str:
         _str(format_group_word(cert.slope.word)), _str(word_to_text(cert.slope.alpha)),
         json.dumps(cert.depth),
     )
+
+
+def certificate_to_dict(cert: Certificate) -> dict:
+    """The certificate's object: the writer's text, parsed."""
+    return json.loads(certificate_to_json(cert))
 
 
 def _field(obj, key: str, where: str = ""):
@@ -777,10 +740,10 @@ def certificate_from_dict(obj) -> Certificate:
         raise CertificateFormatError("invalid-certificate", str(exc)) from exc
 
 
-def certificate_from_json(text: str) -> Certificate:
+def certificate_from_json(text: str | bytes) -> Certificate:
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        # ValueError: a JSONDecodeError or an integer past the digit limit
+        # ValueError: a JSONDecodeError, undecodable bytes or an integer past the digit limit
         raise CertificateFormatError("invalid-certificate", f"bad JSON: {exc}") from exc
     return certificate_from_dict(obj)

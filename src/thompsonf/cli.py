@@ -202,10 +202,10 @@ def _cmd_partner(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    with open(args.certificate, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.certificate, "rb") as fh:  # json.loads detects the encoding
+        data = fh.read()
     try:
-        cert = certificate_from_json(text)
+        cert = certificate_from_json(data)
     except CertificateFormatError as exc:
         verdict = CertifyResult(False, exc.code, exc.detail)
     else:

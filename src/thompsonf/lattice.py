@@ -58,7 +58,7 @@ def companion_rectangular(a: int, b: int) -> tuple[int, int, RectangularForm]:
     Construction: split g = gcd(a,b) as g = pq where q collects the prime
     powers of g whose prime divides a' = a/g (and p the rest); qa' and pb'
     are then coprime, so m(qa') - n(pb') = 1 is solvable; (c,d) = (np, mq).
-    The Euclid solution is pinned to minimal non-negative n.
+    n is the least non-negative solution, read off the inverse of pb' mod |qa'|.
     """
     if a == 0 and b == 0:
         raise ZeroInput("(0,0) spans nothing")
@@ -74,17 +74,10 @@ def companion_rectangular(a: int, b: int) -> tuple[int, int, RectangularForm]:
         p //= d
         q *= d
         d = math.gcd(p, d)
-    # solve m*(q*ap) - n*(p*bp) = 1 with minimal non-negative n
+    # the least n >= 0 with m*A - n*B = 1 is -B^-1 mod |A|; A and B are coprime
     A, B = q * ap, p * bp
-    gg, x, y = _egcd(A, -B)  # A*x + (-B)*y = 1, so (m, n) = (x, y)
-    if gg != 1:
-        raise AssertionError(f"gcd({A}, {B}) = {gg}, expected coprime")
-    m0, n0 = x, y
-    # general solution: (m, n) = (m0 + t*B, n0 + t*A); pick minimal n >= 0
-    n = n0 % abs(A)
-    m = m0 + ((n - n0) // A) * B
-    if n < 0 or m * A - n * B != 1:
-        raise AssertionError(f"bad Bezout pair (m, n) = ({m}, {n})")
+    n = -pow(B, -1, abs(A)) % abs(A)
+    m = (1 + n * B) // A
     return n * p, m * q, RectangularForm(p, q)
 
 

@@ -335,7 +335,9 @@ def finite_index_pair(f: Element) -> SynthesisResult:
     """Partner of least possible finite joint-image index.
 
     The index equals pq from the rectangular form of the image of f;
-    requires that image to be non-zero."""
+    requires that image to be non-zero, i.e. f outside [F, F]."""
     a, b = abelianize(f)
+    if (a, b) == (0, 0):
+        raise PreconditionViolated("f is in [F, F] (image (0,0)): no g gives finite index")
     c, d, _ = companion_rectangular(a, b)
     return synthesize(f, c, d)

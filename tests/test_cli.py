@@ -199,6 +199,24 @@ def test_certify_reports_unreadable_json_as_fail(tmp_path, value):
     assert err == ""
 
 
+def test_certify_reads_bytes_so_undecodable_files_fail(tmp_path):
+    """A file that is not UTF-8 is bad JSON; json.loads also reads UTF-16/32."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{")
+    rc, out, err = go(["certify", str(bad)])
+    assert rc == 1
+    assert out.startswith("FAIL invalid-certificate: bad JSON: ")
+    assert err == ""
+    cfile = tmp_path / "cert.json"
+    go(["synthesize", "x0", "--target=1,1", "--cert", str(cfile)])
+    wide = tmp_path / "utf16.json"
+    wide.write_bytes(cfile.read_text().encode("utf-16"))
+    assert go(["certify", str(wide)]) == (0, "PASS\n", "")
+    rc, out, err = go(["certify", str(tmp_path / "missing.json")])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_certify_rejects_tampered_file(tmp_path):
     cfile = tmp_path / "cert.json"
     go(["synthesize", "x0", "--target=1,1", "--cert", str(cfile)])

@@ -91,6 +91,9 @@ def test_companion_contract(v):
     assert lattice_contains(basis, (0, form.q))
     assert lattice_contains(rect, (a, b))
     assert lattice_contains(rect, (c, d))
+    if a:
+        # c = n*p with n the least non-negative Bezout solution, below |q*a'|
+        assert 0 <= c // form.p < abs(form.q * (a // g))
 
 
 def test_companion_split_matches_factoring():

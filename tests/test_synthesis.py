@@ -229,6 +229,18 @@ def test_finite_index_pair():
     assert res1.index == 1
 
 
+def test_finite_index_pair_refuses_the_commutator_subgroup(capsys):
+    # the paper's hypothesis is f outside [F, F]; inside it no g gives finite index
+    commutator = compose(compose(X0, X1), compose(invert(X0), invert(X1)))
+    assert abelianize(commutator) == (0, 0)
+    with pytest.raises(PreconditionViolated, match=r"\[F, F\].*\(0,0\)"):
+        finite_index_pair(commutator)
+    assert run(["finite-index", "x0 x1 x0^-1 x1^-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: f is in [F, F]")
+
+
 def test_witnesses_are_minimal(rng):
     for target in ((1, 1), (0, -2), (2, 0), (0, 0)):
         res = synthesize(X0, *target)
