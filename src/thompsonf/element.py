@@ -436,9 +436,7 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
     set up once: its identity test, its plan (x0 and x1 rotate the range
     tree) and, at its first run with |k| > 8, whether it squares. That is
     O(L) list moves and no table merge, L the sum of |k| carets(f) over the
-    runs f^k (bench long_words, 10 alternating pairs of 25 s runs, medians:
-    751 -> 950 requests/s and p50 1.01 -> 0.84 ms when x0 and x1 became
-    rotations instead of cut-and-regrow programs). Identity runs are dropped.
+    runs f^k. Identity runs are dropped.
     f^k has about c + |k| b carets, c = carets(f) and b = carets(f^2) - c, so
     with |k| and c over 8 and c > 4b the run is cheaper squared by power
     first, which merges O((c + |k| b) log |k|) pairs.

@@ -6,8 +6,8 @@ Every target goes through one layout. A scaffold tree is completed around
 the moved triple u -> v -> w of f; the partner's domain and range trees are
 the scaffold with small standard subtrees hung at a handful of branches.
 The branch-pair table is the leaf-by-leaf pairing of those two surgered
-trees, and the blocks are read off it, cut after the row (w0, w01) and
-after the four rows under [w10]:
+trees, and it falls into three blocks of rows, cut after the row (w0, w01)
+and after the four rows under [w10]:
 
   (A)  the end at 0, then the interior moved right;
   (B)  a copy of the basic generator x1 inside [w10], providing the
@@ -28,6 +28,7 @@ of the certificate since <f, g> = <f, g^-1>; so c = 0 takes the sign of d.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import gcd
 
 from .certify import (
     Certificate,
@@ -40,18 +41,14 @@ from .certify import (
     queried_words,
 )
 from .dynamics import IdentityInput, PreconditionViolated, find_uvw
-from .element import AbelianImage, Element, GroupWord, abelianize, from_codes
+from .element import X1, AbelianImage, Element, GroupWord, abelianize, from_codes
 from .lattice import companion_rectangular, complete_basis, index_of
 from .words import Word
 
 Tree = tuple[Word, ...]
-Row = tuple[Word, Word]
-Blocks = tuple[tuple[str, tuple[Row, ...]], ...]
 TailPair = tuple[GroupWord, int, int]  # (f or f^-1 as a word, n, m): t^n -> t^m
 
 CARET: Tree = ("0", "1")
-X1_DOMAIN: Tree = ("0", "100", "101", "11")
-X1_RANGE: Tree = ("0", "10", "110", "111")
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,8 +56,6 @@ class SynthesisResult:
     certificate: Certificate
     target: AbelianImage
     part: int
-    blocks: Blocks
-    block_word: GroupWord  # g or g^-1: the orientation whose table the blocks list
 
     @property
     def g(self) -> Element:
@@ -263,8 +258,8 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     right_plus, right_minus, right = _end(
         "1", T[-1], abs(d), (("g", sign if d > 0 else -sign),), right_tail
     )
-    plus = {T[0]: left_plus, w + "10": X1_DOMAIN, T[-1]: right_plus}
-    minus = {T[0]: left_minus, w + "0": CARET, w + "10": X1_RANGE, w + "11": CARET,
+    plus = {T[0]: left_plus, w + "10": X1.domain, T[-1]: right_plus}
+    minus = {T[0]: left_minus, w + "0": CARET, w + "10": X1.range, w + "11": CARET,
              T[-1]: right_minus}
     if d < 0:  # domain and range trade places right of [w1]
         plus[T[-1]], minus[T[-1]] = right_minus, right_plus
@@ -274,18 +269,9 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     rm = attach_all(T, minus)
     if len(rp) != len(rm):
         raise AssertionError("caret imbalance between domain and range")
-    flat = list(zip(rp, rm))
-    # A ends at the row (w0, w01); B is the x1 copy under [w10]
-    a_end = rp.index(w + "0") + 1
-    b_end = a_end + len(X1_DOMAIN)
-    blocks: Blocks = (
-        ("A" if c else "A''", tuple(flat[:a_end])),
-        ("B", tuple(flat[a_end:b_end])),
-        ("C" if d else "C'", tuple(flat[b_end:])),
-    )
     fword: GroupWord = (("f", triple.sign),)
     witnesses = [Witness(fword, triple.u, triple.v), Witness(fword, triple.v, triple.w)]
-    witnesses.extend(Witness(gword, p, q) for p, q in flat)
+    witnesses.extend(Witness(gword, p, q) for p, q in zip(rp, rm))
     cert = Certificate(
         f=f,
         g=from_codes(rp, rm) if sign > 0 else from_codes(rm, rp),
@@ -302,7 +288,7 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     # it only filters query lengths, and _required_depth covers every word
     # the conditions query.
     cert = replace(cert, depth=_required_depth(cert))
-    return SynthesisResult(_prune_witnesses(cert), target, part, blocks, gword)
+    return SynthesisResult(_prune_witnesses(cert), target, part)
 
 
 def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
@@ -324,10 +310,14 @@ def synthesize(f: Element, c: int, d: int) -> SynthesisResult:
 
 
 def complete_generating_pair(f: Element) -> SynthesisResult:
-    """Partner making <f, g> the whole group: joint image unimodular.
-
-    Requires gcd of the image of f to be 1."""
+    """Partner making <f, g> the whole group; needs f's image (a, b) of gcd 1."""
     a, b = abelianize(f)
+    k = gcd(a, b)  # 0 exactly on [F, F]
+    if k != 1:
+        why = "f is in [F, F] (image (0,0))" if k == 0 else (
+            f"gcd({a},{b}) = {k} divides det[(a,b),(c,d)] for every partner (c,d),"
+            " so the images never span Z^2")
+        raise PreconditionViolated(f"{why}: no g gives <f, g> = F")
     return synthesize(f, *complete_basis(a, b))
 
 

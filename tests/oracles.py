@@ -17,6 +17,11 @@ the tests that check with them or check them keep them here.
 `left_fixed_boundary` and `zero_tail_pair` are the searches that reading
 f's first moving row and its end rows replaced; `reference_uvw` and
 `reference_tail_pair` derive the moved triple and the tail pairs with them.
+`left_block`, `basic_block` and `right_block` write out the rows of the
+partner's blocks A, B and C from the scaffold, w and the target, and
+`reference_blocks` assembles them; `self_check_blocks` checks a synthesis
+result's g and its g-witnesses against them. The package keeps no block
+table of its own.
 """
 
 import re
@@ -36,7 +41,6 @@ from thompsonf.element import (
     _merge,
     abelianize,
     compose,
-    eval_word,
     flip,
     from_branch_pairs,
     from_codes,
@@ -445,19 +449,95 @@ def reference_tail_pair(f: Element, t: str) -> tuple[GroupWord, int, int]:
     return (("f", sign),), n, m
 
 
+def left_block(T, w, c):
+    # slope 2^c at 0 (c = 0: leftmost branch pinned), then transport
+    # u_2 .. u_{k-1} under [w0]
+    u1 = T[0]
+    iw0 = T.index(w + "0")
+    if c:
+        rows = [(u1 + "0" * (c + 1), u1 + "0")]
+        for i in range(1, c):
+            rows.append((u1 + "0" * (c + 1 - i) + "1", u1 + "1" * i + "0"))
+        rows.append((u1 + "01", u1 + "1" * c))
+        rows.append((u1 + "1", T[1]))
+    else:
+        rows = [(u1 + "0", u1 + "0"), (u1 + "10", u1 + "1"), (u1 + "11", T[1])]
+    for j in range(1, iw0 - 1):
+        rows.append((T[j], T[j + 1]))
+    rows.append((T[iw0 - 1], w + "00"))
+    rows.append((w + "0", w + "01"))
+    return rows
+
+
+def basic_block(w):
+    # copy of x1 inside [w10]; fixes .w101 with slopes (1, 2)
+    return [
+        (w + "100", w + "100"),
+        (w + "10100", w + "1010"),
+        (w + "10101", w + "10110"),
+        (w + "1011", w + "10111"),
+    ]
+
+
+def right_block(T, w, d):
+    # interior transported down toward [w1], then slope 2^-d at 1
+    # (d = 0: rightmost branch pinned up to one caret)
+    iw0 = T.index(w + "0")
+    n = len(T)
+    un = T[-1]
+    rows = [(w + "11", w + "110"), (T[iw0 + 3], w + "111")]
+    for j in range(iw0 + 4, n - 1):
+        rows.append((T[j], T[j - 1]))
+    if not d:
+        rows.append((un + "00", T[n - 2]))
+        rows.append((un + "01", un + "0"))
+        rows.append((un + "1", un + "1"))
+        return rows
+    rows.append((un + "0", T[n - 2]))
+    rows.append((un + "10", un + "0" * d))
+    for i in range(2, d + 1):
+        rows.append((un + "1" * i + "0", un + "0" * (d + 1 - i) + "1"))
+    rows.append((un + "1" * (d + 1), un + "1"))
+    return rows
+
+
+def reference_blocks(T, w, c, d):
+    """Blocks of the partner for (c, d) on scaffold T, as the builders give them."""
+    if (c or d) < 0:
+        c, d = -c, -d
+    c_rows = right_block(T, w, abs(d))
+    if d < 0:
+        c_rows = [(q, p) for p, q in c_rows]
+    return (
+        ("A" if c else "A''", tuple(left_block(T, w, c))),
+        ("B", tuple(basic_block(w))),
+        ("C" if d else "C'", tuple(c_rows)),
+    )
+
+
 def self_check_blocks(result) -> None:
-    """Re-derive a synthesis result's partner from its block tables alone
-    and compare: the blocks tile [0,1] on both sides, rebuild g (or g^-1,
-    as `block_word` says), and g hits its target."""
-    rows = [row for _, block in result.blocks for row in block]
+    """Check a synthesis result against the builders' rows on its own
+    scaffold, moved word and target: the rows tile [0,1] on both sides and
+    rebuild g (g^-1 when the target's first non-zero coordinate is
+    negative), every emitted witness of that g-letter is one of the rows,
+    and g hits its target."""
+    cert = result.certificate
+    c, d = result.target
+    rows = [row for _, block in reference_blocks(cert.tree, cert.w, c, d) for row in block]
     dom = [p for p, _ in rows]
     rng = [q for _, q in rows]
     if not is_complete_prefix_code(dom):
         raise AssertionError("block domains do not tile [0,1]")
     if not is_complete_prefix_code(rng):
         raise AssertionError("block ranges do not tile [0,1]")
-    if from_codes(dom, rng) != eval_word(result.block_word, {"g": result.g}):
+    sign = -1 if (c or d) < 0 else 1
+    if from_codes(dom, rng) != (result.g if sign > 0 else invert(result.g)):
         raise AssertionError("block tables do not rebuild the partner")
+    table = set(rows)
+    stray = [x for x in cert.witnesses if x.word == (("g", sign),)
+             and (x.lhs, x.rhs) not in table]
+    if stray:
+        raise AssertionError(f"g-witnesses off the block tables: {stray}")
     if abelianize(result.g) != result.target:
         raise AssertionError("partner misses its abelianization target")
 
@@ -488,5 +568,4 @@ def invert_result(res):
         res,
         certificate=new_cert,
         target=AbelianImage(-res.target.at_zero, -res.target.at_one),
-        block_word=inv_word(res.block_word),
     )

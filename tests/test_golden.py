@@ -1,7 +1,7 @@
 """Byte-level pins of synthesis output.
 
-Each digest is the sha256 of the certificate JSON, the partner's table, the
-blocks and the remaining result fields, so any change in what `synthesize`
+Each digest is the sha256 of the certificate JSON, the partner's table and
+the result's part, basis and index, so any change in what `synthesize`
 emits shows up here, not only a change between two runs of the same code.
 The corpus digests are kept per construction part, so such a change shows
 which construction moved. A deliberate change of output must update these
@@ -21,53 +21,49 @@ def _digest(results) -> str:
     h = hashlib.sha256()
     for res in results:
         h.update(certificate_to_json(res.certificate).encode())
-        h.update(
-            repr(
-                (res.g.pairs, res.blocks, res.block_word, res.part, res.basis, res.index)
-            ).encode()
-        )
+        h.update(repr((res.g.pairs, res.part, res.basis, res.index)).encode())
     return h.hexdigest()
 
 
 # (seed, part) -> digest of that part's results, in corpus order
 CORPUS = {
-    (0, 1): "e910124ce9bcf56983ac7377a6f9e5ad27aab18142be5a7e2f2f4dbf901e0368",
-    (0, 2): "b2507b55df00fac41d0a379c83c026abc0ca72a83fbd41481fdb2e4cd047ffed",
-    (0, 3): "56d400c8dd2c492dc85f6af57bd2acbac2ba828bfae0202e1225572599db5027",
-    (0, 4): "dd1665fdb3a89e21f93e63cbb59ee1aa165c38ab4c90404a4f4f1a5e094c27b3",
-    (9, 1): "3bd24f1f74dce63afde2f46b169d911d1b7b9f6ebc82afe6b252684463036394",
-    (9, 2): "3e43eb5a7424552f6e70e6443a14920268652a66a725f8b793c5a1ea39332643",
-    (9, 3): "5c26251e3b14d6cc8d4271bc728ffc0ad17cf2d81b276e1344ea53dc6dd6770d",
-    (9, 4): "259e2b597e80d124a860d8f90c9503054107dedd97bad36c30470d19e89d252a",
-    (10, 1): "94f34127104619afa00bc18b210f2b72c09c1b93ca4c28836bcec232b1c3f107",
-    (10, 2): "bd190208f946d2f9350c06be8bbcc177228e5238c14ca10293bc870ba60237b2",
-    (10, 3): "dc7fede989cfdef6624a9d2a2126be525e806cf43df12283ef413186855acd73",
-    (10, 4): "256f09f1f73ed5772a8a4a62bc26561c4b8fc920158bf5e97fe9fe1f30069161",
+    (0, 1): "25d1d1b92ba90c7a3ee44118766bc8901eb482c89df98074f20737946751005b",
+    (0, 2): "e16f9bbab9e25ca5cafe94a7cd301bf12721ee8827bde5ac7192f1c55276c424",
+    (0, 3): "eaf01f9aaa4995ac9eafb021998e8cbfbd9f331f3415b02c9118ee5014ba8f1b",
+    (0, 4): "54d0ad35f97aee4f4cc7b50a57acbc512e57f164c0e74a76cc92a3b96ffd5ab8",
+    (9, 1): "355f7cb4c12ed5fb98966229c21871723cef1ec73befd7c90ad444d5de18c166",
+    (9, 2): "2bacccea44b4c7e3203ee06c18416f0a929e7ae6519b91a6b776ce676c620488",
+    (9, 3): "17cdfe24029ab2ecc422ee7bdb0d57c94328e6e55abcc986c49241c60549f924",
+    (9, 4): "98df4c295e79748b8fb473610a28961e97831385848ca1a18de9a294fca699ae",
+    (10, 1): "ea7dff7e54cc1803b590f15d463e3095a035857a9b06efaa035d87005ffb12a2",
+    (10, 2): "f952ccea6b0f88a8e9e795e2b608ffa44cc3943d52d656395f229a89378a5f56",
+    (10, 3): "e82b3098157c7a6623b2e63c6728efa5fa909aa5d47cb38d2b09b491ef794f8f",
+    (10, 4): "96f162bbb1d235900bcb70edcd0f850eb840558d65c0fc521a3cb1dd72201164",
 }
 
 # (f, c, d) -> digest; f is x0 or its inverse
 X0_CASES = {
-    ("x0", 2, 3): "9a7ec58282191f181adca38fcb6f00ca09b4f8f9cad18d1b19593d791b88ae5c",
-    ("x0", 2, -3): "e42662e364126b3e57310ba157f39653e7e25e5c0c4fbacb2b105ea7b5dab70c",
-    ("x0", -2, 3): "6fb5f3986870bab0280131a3cbb825802d446960d73be33dd2b98b570c3ed39d",
-    ("x0", -2, -3): "3949d896985a80a105c6db7b169f4821786a001acc845516d035dfa35e2d06eb",
-    ("x0", 3, 0): "6116b824e1efdf4774cf38dc6f2cc266ad8e38669113427921de95f2c0ae4282",
-    ("x0", -3, 0): "75efba632dbc4805b3dd01429166aab57238e2ae8cb4d8101dd079d56a01b2e8",
-    ("x0", 0, 3): "84ee52043dda110df2804d7aa3a355c65283200afbbb8ab735316a7848c019ac",
-    ("x0", 0, -3): "98ab9a5973a2c28dd372708c67b644956b54c9e928f20bb89ee2c4915648fe97",
-    ("x0", 0, 0): "2242e44b90c9cbc53f181213d955a77e9883cfbc8aaa3aafd0a30f44ba952bfb",
-    ("x0^-1", 2, 3): "41c305183229eb774ce5f0dd3c5576aa432977dfe7a7420c671808166db08275",
-    ("x0^-1", 2, -3): "bed0078f01c05eae3ad41773c5548b99bd2b2f620c40c8950521066adb0a744c",
-    ("x0^-1", -2, 3): "8aba5c2c48867223fa743dec5f2769429310af4689fbcb69a3976892c7587b05",
-    ("x0^-1", -2, -3): "d19548922909f8f06a6e1539096f77af74596522829d73d19516621236c14840",
-    ("x0^-1", 3, 0): "7765fd7c493d22ba627d8db48a166efb65bac8bcb223c0fbfab4b0dea17094da",
-    ("x0^-1", -3, 0): "7d5e392a40c132c166ece0e676302d66ade5a8315623e2ef03efd007b9af2394",
-    ("x0^-1", 0, 3): "a413a394934bf8f942d05476f5677a3d5695dfcc6b82f83e45fbd561380b852a",
-    ("x0^-1", 0, -3): "42df8af9a989b4b796d8a58ec0e919eb119692e029d1d213ec47becdb210e500",
-    ("x0^-1", 0, 0): "c8a915ec7f1db38bc523db812c569eaa72d5be96357d4f047db3779df819e8cd",
+    ("x0", 2, 3): "d8ef227df410b4123a756c2cb9ba383d310498bc453f61b4d0e33cb9e8d87227",
+    ("x0", 2, -3): "91bf27ea22a79139cd601cf6530edd40895dc406e14d89c09f8872c4661ec3c5",
+    ("x0", -2, 3): "067e5bc91e59f86dfeef956389598f78a42fe3df81974039aae7be747887a017",
+    ("x0", -2, -3): "bbde88f005f35dcba533488058f15cef15a2460ef8b787153d71b51b1a8dfc8d",
+    ("x0", 3, 0): "dc56c312e55ab153add05dd1127709e55d3d2450f52d570bc35301ffcdc4a9d4",
+    ("x0", -3, 0): "9afa98dfda22ba2a05dd311ad9c733f17aa61c965f059e2f05970d6e9c0d7f56",
+    ("x0", 0, 3): "4af7abc3f6f2de9c9f04318d81a4bcfe4a686daa25d52e53b1b4286ec1a86cb7",
+    ("x0", 0, -3): "ceaa069fa5d59d84afa72d536500c51eca35e32257491e1a24a9ad4158b3d983",
+    ("x0", 0, 0): "6a75762eea92be4971e584c7d3237d5376746262e7888af3ab7fe7db0f278736",
+    ("x0^-1", 2, 3): "3c4838b07c6c447d84325e270b9831736060141a306f37ab9108ac9ff5b90f27",
+    ("x0^-1", 2, -3): "5581afca00f543d71c00f9fc8b0636f19b4d157382a469e6f80bb12d2faf4d3d",
+    ("x0^-1", -2, 3): "4d757e234db89d5776788a3c61c03ba1f9ad602f71603d40d90e944765d17bf5",
+    ("x0^-1", -2, -3): "eacc2a750b97404b11ac4e0cde86b8869a965ac778fc7c4d53c6a86b91df7ba9",
+    ("x0^-1", 3, 0): "f7a306bc014a6db2b44e01a843abe87b19608d4bc7e134a91500b2860e3000c9",
+    ("x0^-1", -3, 0): "2a4c453cf07cc4e3a7ea50b42854b1fec2a14e2a8e47bc05ff388d8041816197",
+    ("x0^-1", 0, 3): "101e687d85d35198a02578831b48c014e2f7a7b8d2ea70096955547393d096fd",
+    ("x0^-1", 0, -3): "6fdc387f938bb83793e2d828f279de9202d2d74e9ed80d0cdea13b8316480f9d",
+    ("x0^-1", 0, 0): "3fe34d044a716ddf94efcc5634265010ee40505aa0bcc79c46d12833dc311b40",
     # large ladder steps, where the pruner makes most of its trials
-    ("x0", 48, 48): "04ad039cdf71ee6b544f706ee3f59155a0a610981bcf89680d9ede8c34f8c2be",
-    ("x0", -48, 48): "070ec66238c26276cb5e7ef8fd79f55ad5d4250ad6f6ab47dc6e679426339b4a",
+    ("x0", 48, 48): "a5f1724ae69e5e29f2f7020e1946938474aaeb5ba4c504bad474a2e07bbcde4b",
+    ("x0", -48, 48): "3be2a5d61f9edd2eca2eaad68ebd553a9923e5a70e5757584d77d8bfa1d82159",
 }
 
 

@@ -5,7 +5,7 @@ import sys
 import textwrap
 
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import assume, given, settings, strategies as st
 
 import thompsonf
@@ -33,7 +33,7 @@ from thompsonf.lattice import INFINITE, index_of
 from thompsonf.synthesis import build_scaffold_tree, complete_tree
 
 from conftest import elements
-from oracles import invert_result, self_check_blocks
+from oracles import invert_result, reference_blocks, self_check_blocks
 
 
 # frozen run of the canonical example: partner of x0 for target (1,1)
@@ -67,9 +67,10 @@ def test_part1_canonical_example():
     assert cert.w == "01"
     assert cert.tree == X0_TREE
     assert res.g.pairs == X0_G_PAIRS
-    assert dict(res.blocks)["A"] == X0_BLOCK_A
-    assert dict(res.blocks)["B"] == X0_BLOCK_B
-    assert dict(res.blocks)["C"] == X0_BLOCK_C
+    assert reference_blocks(X0_TREE, "01", 1, 1) == (
+        ("A", X0_BLOCK_A), ("B", X0_BLOCK_B), ("C", X0_BLOCK_C),
+    )
+    self_check_blocks(res)
     assert abelianize(res.g) == AbelianImage(1, 1)
     assert cert.slope.alpha == "01101"
     assert cert.depth == 11
@@ -203,8 +204,6 @@ def test_negated_target_inverts_the_partner(seed, c, d):
     res = synthesize(f, -c, -d)
     assert certificate_to_json(res.certificate) == certificate_to_json(expected.certificate)
     assert res.g == expected.g
-    assert res.blocks == expected.blocks
-    assert res.block_word == expected.block_word
     assert res.part == expected.part
     assert res.target == expected.target
 
@@ -217,8 +216,32 @@ def test_complete_generating_pair():
     )
     assert abs(det) == 1
     assert certify_normal_generation(res.certificate).ok
-    with pytest.raises(ValueError):
-        complete_generating_pair(power(X0, 2))  # image (2,-2), gcd 2
+
+
+def test_complete_generating_pair_refuses_what_it_cannot_serve(capsys):
+    # in [F, F] the images span at most a line; with gcd(a, b) = k > 1, k
+    # divides the determinant of every joint image, so none is unimodular
+    commutator = compose(compose(X0, X1), compose(invert(X0), invert(X1)))
+    for f in (commutator, IDENTITY):
+        with pytest.raises(PreconditionViolated, match=r"\[F, F\].*\(0,0\)"):
+            complete_generating_pair(f)
+    with pytest.raises(PreconditionViolated, match=r"gcd\(2,-2\) = 2 divides det"):
+        complete_generating_pair(power(X0, 2))  # image (2,-2)
+    for word, start in (
+        ("x0 x1 x0^-1 x1^-1", "error: f is in [F, F]"),
+        ("id", "error: f is in [F, F]"),
+        ("x0^2", "error: gcd(2,-2) = 2 divides det"),
+    ):
+        assert run(["complete-pair", word]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(start)
+        assert err.rstrip().endswith("no g gives <f, g> = F")
+
+
+def test_result_keeps_only_what_callers_read():
+    names = [field.name for field in fields(synthesis.SynthesisResult)]
+    assert names == ["certificate", "target", "part"]
 
 
 def test_finite_index_pair():
