@@ -126,6 +126,162 @@ def test_deep_nesting_is_invalid_certificate():
     assert err.value.code == "invalid-certificate"
 
 
+# --- every decode fault, pinned ----------------------------------------------------
+
+# One corruption of the x0 (1, 1) certificate each: the value put at `path`
+# (DELETE drops the key), or, where the path is None, the whole text. Each
+# gives one exact code and detail, and the exception it was raised from.
+DELETE = object()
+DECODE_FAULTS = {
+    "missing-top-level": (("w",), DELETE, "invalid-certificate", "missing field 'w'", None),
+    "missing-in-slope": (
+        ("slope", "alpha"), DELETE, "invalid-certificate", "slope: missing field 'alpha'", None,
+    ),
+    "missing-in-element": (
+        ("g", "range"), DELETE, "invalid-certificate", "g: missing field 'range'", None,
+    ),
+    "missing-in-witness": (
+        ("witnesses", 3, "rhs"), DELETE,
+        "invalid-certificate", "witnesses[3]: missing field 'rhs'", None,
+    ),
+    "missing-in-schema": (
+        ("left_schema", "stem"), DELETE,
+        "invalid-certificate", "left_schema: missing field 'stem'", None,
+    ),
+    "missing-in-schema-witness": (
+        ("right_schema", "witness", "word"), DELETE,
+        "invalid-certificate", "right_schema.witness: missing field 'word'", None,
+    ),
+    "tree-not-array": (
+        ("tree",), "0000", "invalid-certificate", "tree must be an array, got '0000'", "TypeError",
+    ),
+    "witnesses-not-array": (
+        ("witnesses",), {}, "invalid-certificate", "witnesses must be an array, got {}", "TypeError",
+    ),
+    "domain-not-array": (
+        ("f", "domain"), "00",
+        "invalid-certificate", "f: domain must be an array, got '00'", "TypeError",
+    ),
+    "depth-bool": (
+        ("depth",), True, "invalid-certificate", "depth must be an integer, got True", "TypeError",
+    ),
+    "depth-float": (
+        ("depth",), 11.0, "invalid-certificate", "depth must be an integer, got 11.0", "TypeError",
+    ),
+    "depth-string": (
+        ("depth",), "11", "invalid-certificate", "depth must be an integer, got '11'", "TypeError",
+    ),
+    "base-count-bool": (
+        ("left_schema", "base_count"), False,
+        "invalid-certificate", "left_schema: base_count must be an integer, got False", "TypeError",
+    ),
+    "base-count-float": (
+        ("left_schema", "base_count"), 2.0,
+        "invalid-certificate", "left_schema: base_count must be an integer, got 2.0", "TypeError",
+    ),
+    "base-count-string": (
+        ("right_schema", "base_count"), "2",
+        "invalid-certificate", "right_schema: base_count must be an integer, got '2'", "TypeError",
+    ),
+    "tree-word-not-binary": (
+        ("tree", 0), "0x00", "invalid-certificate", "not a binary word: '0x00'", "ValueError",
+    ),
+    "tree-word-not-string": (
+        ("tree", 1), 1, "invalid-certificate", "a word must be a string, got 1", "TypeError",
+    ),
+    "w-not-binary": (("w",), "2", "invalid-certificate", "not a binary word: '2'", "ValueError"),
+    "witness-side-not-binary": (
+        ("witnesses", 0, "lhs"), "0x",
+        "invalid-certificate", "witnesses[0]: not a binary word: '0x'", "ValueError",
+    ),
+    "witness-side-not-string": (
+        ("witnesses", 2, "rhs"), 1,
+        "invalid-certificate", "witnesses[2]: a word must be a string, got 1", "TypeError",
+    ),
+    "schema-stem-not-binary": (
+        ("left_schema", "stem"), "0 0",
+        "invalid-certificate", "left_schema: not a binary word: '0 0'", "ValueError",
+    ),
+    "schema-stem-not-string": (
+        ("right_schema", "stem"), None,
+        "invalid-certificate", "right_schema: a word must be a string, got None", "TypeError",
+    ),
+    "element-code-not-binary": (
+        ("g", "domain", 0), "2", "invalid-element", "g: not a binary word: '2'", "ValueError",
+    ),
+    "element-code-not-string": (
+        ("f", "range", 1), 10, "invalid-certificate", "f: a word must be a string, got 10", "TypeError",
+    ),
+    "group-word-not-canonical": (
+        ("left_schema", "witness", "word"), "f^1", "invalid-certificate",
+        "left_schema.witness: group word 'f^1' is not canonical (expected 'f')", "ValueError",
+    ),
+    "group-word-unknown-symbol": (
+        ("witnesses", 1, "word"), "h",
+        "invalid-certificate", "witnesses[1]: unknown symbol 'h' in group word 'h'", "ValueError",
+    ),
+    "slope-word-not-string": (
+        ("slope", "word"), 1, "invalid-certificate", "group word must be a string, got 1", "TypeError",
+    ),
+    "tail-two": (
+        ("right_schema", "tail"), "2",
+        "invalid-certificate", "right_schema: tail must be '0' or '1', got '2'", "ValueError",
+    ),
+    "element-dropped-domain-word": (
+        ("f", "domain"), ["00", "01"],
+        "invalid-element", "f: domain has 2 branches, range has 3", "LengthMismatch",
+    ),
+    "element-incomplete-code": (
+        ("g", "domain", 11), "110", "invalid-element",
+        "g: domain is not a complete prefix code: ['0000', '0001', '0010', '0011', '010', "
+        "'01100', '0110100', '0110101', '011011', '0111', '10', '110']",
+        "InvalidCode",
+    ),
+    "witness-is-list": (
+        ("witnesses", 4), ["g", "010", "0101"], "invalid-certificate",
+        "witnesses[4]: list indices must be integers or slices, not str", "TypeError",
+    ),
+    "schema-not-object": (
+        ("left_schema",), [], "invalid-certificate",
+        "left_schema: list indices must be integers or slices, not str", "TypeError",
+    ),
+    "bad-json": (
+        None, "{", "invalid-certificate",
+        "bad JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        "JSONDecodeError",
+    ),
+    "not-an-object": (
+        None, "[]", "invalid-certificate", "expected format tag 'thompsonf.certificate/1'", None,
+    ),
+    "wrong-format-tag": (
+        ("format",), "thompsonf.certificate/2",
+        "invalid-certificate", "expected format tag 'thompsonf.certificate/1'", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DECODE_FAULTS))
+def test_decode_fault_is_pinned(name):
+    path, value, code, detail, cause = DECODE_FAULTS[name]
+    if path is None:
+        text = value
+    else:
+        doc = certificate_to_dict(CERTIFICATES["x0-(1,1)"])
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        text = json.dumps(doc)
+    with pytest.raises(CertificateFormatError) as err:
+        certificate_from_json(text)
+    assert (err.value.code, err.value.detail) == (code, detail)
+    assert str(err.value) == f"{code}: {detail}"
+    assert type(err.value.__cause__).__name__ == (cause or "NoneType")
+
+
 # --- batch reads against their one-item references -------------------------------
 
 
