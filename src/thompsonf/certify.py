@@ -610,42 +610,42 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return json.loads(certificate_to_json(cert))
 
 
-def _field(obj, key: str, where: str = ""):
+def _field(obj, key: str, where: str = "", kind=None):
     """obj[key], with a missing key reported as a missing field of `where`
-    (the top level when empty). Any other fault is left to the caller."""
+    (the top level when empty) and, for `kind` list or int, a value of
+    another type refused with a TypeError. Any other fault is left to the caller."""
     if isinstance(obj, dict) and key not in obj:
         prefix = f"{where}: " if where else ""
         raise CertificateFormatError("invalid-certificate", f"{prefix}missing field {key!r}")
-    return obj[key]
-
-
-def _list_field(obj, key: str, where: str = "") -> list:
-    value = _field(obj, key, where)
+    value = obj[key]
     # a string would otherwise be read one character per item
-    if not isinstance(value, list):
+    if kind is list and not isinstance(value, list):
         raise TypeError(f"{key} must be an array, got {value!r}")
-    return value
-
-
-def _int_field(obj, key: str, where: str = "") -> int:
-    value = _field(obj, key, where)
     # bool is an int subclass and a float would be silently truncated
-    if type(value) is not int:
+    if kind is int and type(value) is not int:
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _element_from_obj(obj, where: str) -> Element:
+def _read(where: str, read, value_code: str = "invalid-certificate"):
+    """read(), with each fault it raises as a CertificateFormatError located at
+    `where` (the top level when empty): a KeyError or TypeError is
+    invalid-certificate, a ValueError is `value_code`. Every decoder returns
+    through this one function, so it alone decides a fault's code and detail."""
     try:
-        domain = words_from_texts(_list_field(obj, "domain", where))
-        rng = words_from_texts(_list_field(obj, "range", where))
-        return from_codes(domain, rng)
+        return read()
     except CertificateFormatError:
         raise
-    except (KeyError, TypeError) as exc:
-        raise CertificateFormatError("invalid-certificate", f"{where}: {exc}") from exc
-    except ValueError as exc:
-        raise CertificateFormatError("invalid-element", f"{where}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        code = "invalid-certificate" if isinstance(exc, (KeyError, TypeError)) else value_code
+        raise CertificateFormatError(code, f"{where}: {exc}" if where else str(exc)) from exc
+
+
+def _element_from_obj(obj, where: str) -> Element:
+    return _read(where, lambda: from_codes(
+        words_from_texts(_field(obj, "domain", where, list)),
+        words_from_texts(_field(obj, "range", where, list)),
+    ), "invalid-element")
 
 
 def _group_word_from_obj(text) -> GroupWord:
@@ -666,16 +666,11 @@ def _group_word_from_obj(text) -> GroupWord:
 
 
 def _witness_from_obj(obj, where: str) -> Witness:
-    try:
-        return Witness(
-            word=_group_word_from_obj(_field(obj, "word", where)),
-            lhs=word_from_text(_field(obj, "lhs", where)),
-            rhs=word_from_text(_field(obj, "rhs", where)),
-        )
-    except CertificateFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError("invalid-certificate", f"{where}: {exc}") from exc
+    return _read(where, lambda: Witness(
+        word=_group_word_from_obj(_field(obj, "word", where)),
+        lhs=word_from_text(_field(obj, "lhs", where)),
+        rhs=word_from_text(_field(obj, "rhs", where)),
+    ))
 
 
 def _witnesses_from_objs(objs: list) -> tuple[Witness, ...]:
@@ -695,7 +690,7 @@ def _witnesses_from_objs(objs: list) -> tuple[Witness, ...]:
 
 
 def _schema_from_obj(obj, where: str) -> ShiftSchema:
-    try:
+    def read():
         tail = _field(obj, "tail", where)
         if tail not in ("0", "1"):
             raise ValueError(f"tail must be '0' or '1', got {tail!r}")
@@ -703,13 +698,11 @@ def _schema_from_obj(obj, where: str) -> ShiftSchema:
             tail=tail,
             stem=word_from_text(_field(obj, "stem", where)),
             suffix=word_from_text(_field(obj, "suffix", where)),
-            base_count=_int_field(obj, "base_count", where),
+            base_count=_field(obj, "base_count", where, int),
             witness=_witness_from_obj(_field(obj, "witness", where), where + ".witness"),
         )
-    except CertificateFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError("invalid-certificate", f"{where}: {exc}") from exc
+
+    return _read(where, read)
 
 
 def certificate_from_dict(obj) -> Certificate:
@@ -717,27 +710,22 @@ def certificate_from_dict(obj) -> Certificate:
         raise CertificateFormatError(
             "invalid-certificate", f"expected format tag {FORMAT_TAG!r}"
         )
-    try:
-        # keyword order is decoding order: it fixes which fault a
-        # certificate with several is reported for
-        return Certificate(
-            tree=tuple(words_from_texts(_list_field(obj, "tree"))),
-            w=word_from_text(_field(obj, "w")),
-            witnesses=_witnesses_from_objs(_list_field(obj, "witnesses")),
-            slope=SlopeWitness(
-                word=_group_word_from_obj(_field(_field(obj, "slope"), "word", "slope")),
-                alpha=word_from_text(_field(_field(obj, "slope"), "alpha", "slope")),
-            ),
-            depth=_int_field(obj, "depth"),
-            f=_element_from_obj(_field(obj, "f"), "f"),
-            g=_element_from_obj(_field(obj, "g"), "g"),
-            left_schema=_schema_from_obj(_field(obj, "left_schema"), "left_schema"),
-            right_schema=_schema_from_obj(_field(obj, "right_schema"), "right_schema"),
-        )
-    except CertificateFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError("invalid-certificate", str(exc)) from exc
+    # keyword order is decoding order: it fixes which fault a
+    # certificate with several is reported for
+    return _read("", lambda: Certificate(
+        tree=tuple(words_from_texts(_field(obj, "tree", kind=list))),
+        w=word_from_text(_field(obj, "w")),
+        witnesses=_witnesses_from_objs(_field(obj, "witnesses", kind=list)),
+        slope=SlopeWitness(
+            word=_group_word_from_obj(_field(_field(obj, "slope"), "word", "slope")),
+            alpha=word_from_text(_field(_field(obj, "slope"), "alpha", "slope")),
+        ),
+        depth=_field(obj, "depth", kind=int),
+        f=_element_from_obj(_field(obj, "f"), "f"),
+        g=_element_from_obj(_field(obj, "g"), "g"),
+        left_schema=_schema_from_obj(_field(obj, "left_schema"), "left_schema"),
+        right_schema=_schema_from_obj(_field(obj, "right_schema"), "right_schema"),
+    ))
 
 
 def certificate_from_json(text: str | bytes) -> Certificate:

@@ -15,7 +15,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import chain
 
 Word = str
@@ -96,46 +96,26 @@ def _decimal_overflow_exp(limit: int) -> int:
     return (10**limit).bit_length()
 
 
-@dataclass(frozen=True, slots=True)
+@total_ordering
+@dataclass(frozen=True, slots=True, init=False)
 class Dyadic:
     """Exact k/2^n in [0,1], normalized (odd numerator unless exponent 0)."""
 
     num: int
     exp: int
 
-    def __post_init__(self):
-        num, exp = self.num, self.exp
+    def __init__(self, num: int, exp: int):
         size = num.bit_length() - exp - 1  # 0 iff 2^exp <= num < 2^(exp + 1)
         if exp < 0 or num < 0 or size > 0 or (size == 0 and num & (num - 1)):
             raise ValueError(f"not a normalized dyadic in [0,1]: {num}/2^{exp}")
         # every trailing zero of num in one shift, at most exp; 0 becomes 0/2^0
         shift = min((num & -num).bit_length() - 1, exp) if num else exp
-        num >>= shift
-        exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        object.__setattr__(self, "num", num >> shift)
+        object.__setattr__(self, "exp", exp - shift)
 
-    # comparisons cross-multiply to a common exponent (tuple order on
-    # (num, exp) would be wrong for fractions)
-    def _cmp_key(self, other: "Dyadic") -> tuple[int, int]:
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
+    # cross-multiplied (tuple order on (num, exp) would be wrong for fractions)
     def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(other)
-        return a >= b
+        return self.num << other.exp < other.num << self.exp
 
     @classmethod
     def from_fraction(cls, num: int, den: int) -> "Dyadic":

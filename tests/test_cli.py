@@ -328,6 +328,7 @@ def test_lax_integers_are_usage_errors(cli_files, argv):
 
 def test_negative_corpus_count_is_a_usage_error():
     assert go(["corpus", "--count", "-3"]) == (2, "", "error: --count must be at least 0, got -3\n")
+    assert go(["corpus", "--count", "-1"])[:2] == (2, "")
     assert go(["corpus", "--count", "0"])[:2] == (0, "passed 0/0\nparts: \n")
 
 

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,24 @@ def test_comparisons_match_fractions(a, b):
     x, y = Dyadic(*a), Dyadic(*b)
     assert (x < y) == (as_fraction(x) < as_fraction(y))
     assert (x <= y) == (as_fraction(x) <= as_fraction(y))
+    assert (x > y) == (as_fraction(x) > as_fraction(y))
+    assert (x >= y) == (as_fraction(x) >= as_fraction(y))
     assert (x == y) == (as_fraction(x) == as_fraction(y))
+
+
+def test_dyadic_keeps_the_dataclass_contract():
+    half = Dyadic(2, 2)
+    assert repr(half) == "Dyadic(num=1, exp=1)"
+    assert hash(half) == hash(Dyadic(1, 1)) == hash(Dyadic(4, 3))
+    # replace() builds through the normalizing constructor
+    assert replace(Dyadic(1, 1), num=2) == ONE
+    assert replace(Dyadic(1, 1), num=2).exp == 0
+    with pytest.raises(FrozenInstanceError):
+        half.num = 3
+    assert Dyadic.__match_args__ == ("num", "exp")
+    match half:
+        case Dyadic(num, exp):
+            assert (num, exp) == (1, 1)
 
 
 @given(raw)
