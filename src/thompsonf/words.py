@@ -113,9 +113,11 @@ class Dyadic:
         object.__setattr__(self, "num", num >> shift)
         object.__setattr__(self, "exp", exp - shift)
 
-    # cross-multiplied (tuple order on (num, exp) would be wrong for fractions)
+    # cross-multiplied (tuple order on (num, exp) would be wrong for fractions),
+    # shifting by the exponents' difference only: an exponent may be huge
     def __lt__(self, other):
-        return self.num << other.exp < other.num << self.exp
+        d = other.exp - self.exp
+        return self.num << d < other.num if d >= 0 else self.num < other.num << -d
 
     @classmethod
     def from_fraction(cls, num: int, den: int) -> "Dyadic":

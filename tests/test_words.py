@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -82,6 +83,21 @@ def test_huge_exponents_normalize_at_once():
     assert Dyadic(1 << 64, 64) == ONE
     with pytest.raises(ValueError):
         Dyadic((1 << 64) + 1, 64)
+    a, b = Dyadic(1, 10**12), Dyadic(3, 10**12 + 1)
+    assert a < b and a <= b and b > a and b >= a
+    assert a <= a and a >= a and not a < a and not a > a
+
+
+def test_comparison_shifts_by_the_exponents_difference():
+    # a shift by a whole exponent would build 2^(10^7) here
+    a, b = Dyadic(1, 10**7), Dyadic(3, 10**7 + 1)
+    tracemalloc.start()
+    try:
+        assert a < b and a <= a and b > a and b >= b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_display():
