@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .element import (
@@ -673,6 +674,13 @@ def _witness_from_obj(obj, where: str) -> Witness:
     ))
 
 
+def _slope_from_obj(obj, where: str) -> SlopeWitness:
+    return _read(where, lambda: SlopeWitness(
+        word=_group_word_from_obj(_field(obj, "word", where)),
+        alpha=word_from_text(_field(obj, "alpha", where)),
+    ))
+
+
 def _witnesses_from_objs(objs: list) -> tuple[Witness, ...]:
     """The witness list, each distinct group-word text parsed once and no
     location formatted. On a fault, the witness-by-witness read raises it."""
@@ -710,16 +718,14 @@ def certificate_from_dict(obj) -> Certificate:
         raise CertificateFormatError(
             "invalid-certificate", f"expected format tag {FORMAT_TAG!r}"
         )
-    # keyword order is decoding order: it fixes which fault a
-    # certificate with several is reported for
+    # keyword order is decoding order: it fixes which fault a certificate
+    # with several is reported for. Each field is read before the _read of
+    # its value, so a missing or mistyped field keeps the detail naming it
     return _read("", lambda: Certificate(
-        tree=tuple(words_from_texts(_field(obj, "tree", kind=list))),
-        w=word_from_text(_field(obj, "w")),
+        tree=tuple(_read("tree", partial(words_from_texts, _field(obj, "tree", kind=list)))),
+        w=_read("w", partial(word_from_text, _field(obj, "w"))),
         witnesses=_witnesses_from_objs(_field(obj, "witnesses", kind=list)),
-        slope=SlopeWitness(
-            word=_group_word_from_obj(_field(_field(obj, "slope"), "word", "slope")),
-            alpha=word_from_text(_field(_field(obj, "slope"), "alpha", "slope")),
-        ),
+        slope=_slope_from_obj(_field(obj, "slope"), "slope"),
         depth=_field(obj, "depth", kind=int),
         f=_element_from_obj(_field(obj, "f"), "f"),
         g=_element_from_obj(_field(obj, "g"), "g"),

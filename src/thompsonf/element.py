@@ -431,12 +431,13 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
     Every name is checked first, so UnknownSymbol is raised even for a letter
     that would cancel. Adjacent letters with the same name are then folded
     into one run on a stack: x^a x^b becomes x^(a+b), a run summing to 0 is
-    dropped and the fold cascades, so x0 x1 x1^-1 x0 gives x0^2. A lone run
-    is one power. Several are multiplied by _tree_product, each distinct name
-    set up once: its identity test, its plan (x0 and x1 rotate the range
-    tree) and, at its first run with |k| > 8, whether it squares. That is
-    O(L) list moves and no table merge, L the sum of |k| carets(f) over the
-    runs f^k. Identity runs are dropped.
+    dropped and the fold cascades, so x0 x1 x1^-1 x0 gives x0^2. One rule then
+    picks the kernel: one run f^k of an f other than x0 and x1 is power(f, k),
+    and every other word, the empty word included, is one _tree_product. Each
+    distinct name is set up for it once: its identity test, its plan (x0 and
+    x1 rotate the range tree) and, at its first run with |k| > 8, whether it
+    squares. That is O(L) list moves and no table merge, L the sum of
+    |k| carets(f) over the runs f^k. Identity runs are dropped.
     f^k has about c + |k| b carets, c = carets(f) and b = carets(f^2) - c, so
     with |k| and c over 8 and c > 4b the run is cheaper squared by power
     first, which merges O((c + |k| b) log |k|) pairs.
@@ -449,12 +450,10 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
             exp += runs.pop()[1]
         if exp:
             runs.append((name, exp))
-    if len(runs) < 2:
-        if not runs:
-            return IDENTITY
+    if len(runs) == 1:
         (name, k), = runs
-        f = assignment[name]
-        return IDENTITY if f.is_identity() else power(f, k)
+        if assignment[name] not in (X0, X1):
+            return power(assignment[name], k)
     named, squares, steps = {}, {}, []
     for name, k in runs:
         if name not in named:
@@ -471,9 +470,6 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
                 f, k = power(f, k), 1
                 plan = _plan(f)
         steps.append((plan, k))
-        last = f, k
-    if len(steps) < 2:
-        return power(*last) if steps else IDENTITY
     return _tree_product(steps)
 
 

@@ -113,9 +113,16 @@ class Dyadic:
         object.__setattr__(self, "num", num >> shift)
         object.__setattr__(self, "exp", exp - shift)
 
-    # cross-multiplied (tuple order on (num, exp) would be wrong for fractions),
-    # shifting by the exponents' difference only: an exponent may be huge
+    # by magnitude m = num.bit_length() - exp first: a non-zero value lies in
+    # [2^(m-1), 2^m) and 0 below all. Only values of one magnitude are
+    # cross-multiplied (tuple order would be wrong for fractions), by a shift
+    # of at most the larger bit length, however huge the exponents
     def __lt__(self, other):
+        if not (self.num and other.num):
+            return self.num < other.num
+        m, n = self.num.bit_length() - self.exp, other.num.bit_length() - other.exp
+        if m != n:
+            return m < n
         d = other.exp - self.exp
         return self.num << d < other.num if d >= 0 else self.num < other.num << -d
 

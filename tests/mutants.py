@@ -75,6 +75,13 @@ MUTANTS = (
         (f"{_ELEMENT_ORACLE}::test_eval_word_squares_runs_whose_powers_grow_slowly",),
     ),
     Mutant(
+        "a lone x0 or x1 run squared by power",
+        "element.py",
+        "        if assignment[name] not in (X0, X1):\n",
+        "        if True:\n",
+        (f"{_ELEMENT_ORACLE}::test_a_lone_generator_run_rotates",),
+    ),
+    Mutant(
         "plan chosen by `is`",
         "element.py",
         "    if f.pairs == X0.pairs:\n        return 0\n    if f.pairs == X1.pairs:",
@@ -210,6 +217,13 @@ MUTANTS = (
         "return self.num << d < other.num if d >= 0 else self.num < other.num << -d",
         "return self.num << other.exp < other.num << self.exp",
         ("tests/test_words.py::test_comparison_shifts_by_the_exponents_difference",),
+    ),
+    Mutant(  # distant values are then shifted apart: 12.5 MB at the test's first pair
+        "Dyadic.__lt__ without the magnitude test",
+        "words.py",
+        "        if m != n:\n            return m < n\n",
+        "",
+        ("tests/test_words.py::test_comparison_decides_distant_magnitudes_without_shifting",),
     ),
     Mutant(
         "no trailing-zero shift in Dyadic",

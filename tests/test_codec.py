@@ -184,12 +184,12 @@ DECODE_FAULTS = {
         "invalid-certificate", "right_schema: base_count must be an integer, got '2'", "TypeError",
     ),
     "tree-word-not-binary": (
-        ("tree", 0), "0x00", "invalid-certificate", "not a binary word: '0x00'", "ValueError",
+        ("tree", 0), "0x00", "invalid-certificate", "tree: not a binary word: '0x00'", "ValueError",
     ),
     "tree-word-not-string": (
-        ("tree", 1), 1, "invalid-certificate", "a word must be a string, got 1", "TypeError",
+        ("tree", 1), 1, "invalid-certificate", "tree: a word must be a string, got 1", "TypeError",
     ),
-    "w-not-binary": (("w",), "2", "invalid-certificate", "not a binary word: '2'", "ValueError"),
+    "w-not-binary": (("w",), "2", "invalid-certificate", "w: not a binary word: '2'", "ValueError"),
     "witness-side-not-binary": (
         ("witnesses", 0, "lhs"), "0x",
         "invalid-certificate", "witnesses[0]: not a binary word: '0x'", "ValueError",
@@ -221,7 +221,8 @@ DECODE_FAULTS = {
         "invalid-certificate", "witnesses[1]: unknown symbol 'h' in group word 'h'", "ValueError",
     ),
     "slope-word-not-string": (
-        ("slope", "word"), 1, "invalid-certificate", "group word must be a string, got 1", "TypeError",
+        ("slope", "word"), 1,
+        "invalid-certificate", "slope: group word must be a string, got 1", "TypeError",
     ),
     "tail-two": (
         ("right_schema", "tail"), "2",

@@ -258,7 +258,8 @@ def test_eval_word_matches_left_fold(word):
 
 
 def test_eval_word_edge_cases():
-    assert eval_word((), GENS) == IDENTITY
+    for word in [(), (("id", 5),), (("id", 3), ("id", -1))]:
+        assert eval_word(word, GENS) == IDENTITY
     with pytest.raises(UnknownSymbol):
         eval_word((("y", 1), ("y", -1)), {"x0": X0, "x1": X1})
     assert eval_word((("x0", 1), ("x0", -1), ("x1", 1)), GENS).pairs == X1.pairs
@@ -338,15 +339,39 @@ def test_eval_word_merges_nothing_and_bounds_its_table(monkeypatch):
     assert len(spelled) == 1 and spelled[0] <= 1 + carets
 
 
+def _slow_conjugate() -> Element:
+    """h x0 h^-1 for a random 60-letter h: 26 carets, about two more a power."""
+    rng = random.Random(7)
+    h = tuple((rng.choice(("x0", "x1")), rng.choice((1, -1))) for _ in range(60))
+    return eval_word(h + (("x0", 1),) + tuple((a, -e) for a, e in reversed(h)), GENS)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 1200, -1200])
+@pytest.mark.parametrize("name", ["x0", "x1"])
+def test_a_lone_generator_run_rotates(monkeypatch, name, k):
+    # one run of x0 or x1 is one rotation loop, as in a longer word, not a power
+    got = []
+    assert _merged_pairs(monkeypatch, lambda: got.append(eval_word(((name, k),), GENS))) == 0
+    assert got == [power(GENS[name], k)]
+
+
+@pytest.mark.parametrize("k", [1, -1, 3])
+def test_a_lone_run_of_another_element_is_one_power(monkeypatch, k):
+    f = _slow_conjugate()
+    products = []
+    monkeypatch.setattr(element, "_tree_product", products.append)
+    got = eval_word((("f", k),), {"f": f})
+    assert products == []
+    assert got == reference_eval_word((("f", k),), {"f": f})
+
+
 def test_eval_word_squares_runs_whose_powers_grow_slowly(monkeypatch):
     # f = h x0 h^-1 has 26 carets, but each power adds about two: applying f^k
     # by surgery would move |k| carets(f) leaves, so power squares it first.
     # The partner g of x0 at (1, 1) grows by 3 carets a power against its 11,
     # and its runs stay in the surgery, as do runs of |k| <= 8. Each name is
     # squared to decide this at most once, at its first run with |k| > 8.
-    rng = random.Random(7)
-    h = tuple((rng.choice(("x0", "x1")), rng.choice((1, -1))) for _ in range(60))
-    f = eval_word(h + (("x0", 1),) + tuple((a, -e) for a, e in reversed(h)), GENS)
+    f = _slow_conjugate()
     g = synthesize(X0, 1, 1).g
     assert (len(f.pairs), len(power(f, 2).pairs)) == (27, 29)
     assert (len(g.pairs), len(power(g, 2).pairs)) == (12, 15)

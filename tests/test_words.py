@@ -100,6 +100,22 @@ def test_comparison_shifts_by_the_exponents_difference():
     assert peak < 10**5
 
 
+def test_comparison_decides_distant_magnitudes_without_shifting():
+    # a shift by the exponents' difference would build 2^(10^8) (12.5 MB) for
+    # the first pair and 2^(10^12) (125 GB) for the second, which is why the
+    # first pair is compared first
+    for small, large in ((Dyadic(1, 10**8), Dyadic(1, 1)), (Dyadic(3, 10**12), Dyadic(1, 2))):
+        for x, y in ((small, large), (large, small)):
+            tracemalloc.start()
+            try:
+                less = x < y
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10**6
+            assert less is (x is small)
+
+
 def test_display():
     assert str(Dyadic(1, 1)) == "1/2"
     assert str(Dyadic(3, 2)) == "3/4"
