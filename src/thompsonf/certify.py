@@ -450,8 +450,6 @@ def _structural_error(cert: Certificate) -> str | None:
         return "tree branches are not a complete prefix code"
     if not in_B_prime(cert.w):
         return "w must contain both digits"
-    if set(cert.tree[0]) - {"0"} or set(cert.tree[-1]) - {"1"}:
-        return "tree must start at the all-zeros branch and end at the all-ones branch"
     if cert.depth < 1:
         return "depth must be positive"
     if cert.left_schema.base_count < 0 or cert.right_schema.base_count < 0:

@@ -264,21 +264,14 @@ def corpus_entries(seed: int, count: int):
     while len(entries) < count:
         word, f = random_nontrivial(rng)
         a, b = abelianize(f)
-        target = None
-        for _ in range(len(kinds)):
+        while True:  # ends within four kinds: (1, 1) suits every f
             want_c, want_d = kinds[ki % len(kinds)]
             ki += 1
-            if want_c == 0 and a == 0:
-                continue
-            if want_d == 0 and b == 0:
-                continue
-            c = rng.choice([x for x in range(-3, 4) if x]) if want_c else 0
-            d = rng.choice([x for x in range(-3, 4) if x]) if want_d else 0
-            target = (c, d)
-            break
-        if target is None:
-            continue
-        entries.append((word, f, target, synthesize(f, *target)))
+            if (want_c or a) and (want_d or b):
+                break
+        c = rng.choice([x for x in range(-3, 4) if x]) if want_c else 0
+        d = rng.choice([x for x in range(-3, 4) if x]) if want_d else 0
+        entries.append((word, f, (c, d), synthesize(f, c, d)))
     return entries
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .element import Element, has_branch_pair
-from .words import Word, in_B_prime, interval_less
+from .element import Element
+from .words import Word
 
 
 class IdentityInput(ValueError):
@@ -43,8 +43,10 @@ def find_uvw(f: Element) -> UVWTriple:
     longer, else f^-1, whose row is (y, x). Either way h carries the tail
     pair s'0^n -> s'0^m, n > m, with s' the word of alpha. Then
     u = s'0^{2n-m}1, v = s'0^n1, w = s'0^m1, and h: s'0^n -> s'0^m extends
-    to u -> v (suffix 0^{n-m}1) and v -> w (suffix 1). f^-1 is never built:
-    it carries p -> q iff f carries q -> p.
+    to u -> v (suffix 0^{n-m}1) and v -> w (suffix 1). 2n-m > n > m puts
+    them in interval order and in B', w too when m = 0: only a code's last
+    word has no 0, and y shares its row with x, which ends in 0. f^-1 is
+    never built: it carries p -> q iff f carries q -> p.
     """
     if f.is_identity():
         raise IdentityInput("cannot extract a moved interval from the identity")
@@ -57,13 +59,4 @@ def find_uvw(f: Element) -> UVWTriple:
     u = sp + "0" * (2 * n - m) + "1"
     v = sp + "0" * n + "1"
     w = sp + "0" * m + "1"
-    if not (in_B_prime(u) and in_B_prime(v) and in_B_prime(w)):
-        raise PreconditionViolated(f"triple escaped B': {u!r}, {v!r}, {w!r}")
-    if not (interval_less(u, v) and interval_less(v, w)):
-        raise PreconditionViolated(
-            f"triple is not in interval order: {u!r}, {v!r}, {w!r}"
-        )
-    steps = ((u, v), (v, w)) if sign > 0 else ((v, u), (w, v))
-    if not all(has_branch_pair(f, p, q) for p, q in steps):
-        raise PreconditionViolated(f"element does not carry {u!r} -> {v!r} -> {w!r}")
     return UVWTriple(sign, u, v, w)

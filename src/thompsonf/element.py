@@ -251,29 +251,18 @@ def abelianize(f: Element) -> AbelianImage:
 def image_of_interval(f: Element, u: Word) -> Word | None:
     """The word v with f mapping [u] linearly onto [v], or None.
 
-    None means [u] is not carried linearly onto a single dyadic interval,
-    i.e. u -> v is not a branch pair of any diagram of f.
+    Every diagram of f expands its reduced one, so u -> v is a branch pair
+    of f iff u lies inside one row (u0, v0) and v = v0 + u[len(u0):]. Over
+    two or more rows, [u] is never carried affinely: those rows would be a
+    translated subtree, which holds a reducible caret.
     """
     check_word(u)
-    pairs = f.pairs
-    first = _find_branch(pairs, u, "0")
-    u0, v0 = pairs[first]
-    if u.startswith(u0):
-        return v0 + u[len(u0):]
-    # u is a proper ancestor of several branches: they must all translate
-    covering = pairs[first + 1 : _find_branch(pairs, u, "1") + 1]
-    sigma = u0[len(u):]
-    if not v0.endswith(sigma):
-        return None
-    v = v0[: len(v0) - len(sigma)] if sigma else v0
-    for ui, vi in covering:
-        if vi != v + ui[len(u):]:
-            return None
-    return v
+    u0, v0 = f.pairs[_find_branch(f.pairs, u, "0")]
+    return v0 + u[len(u0):] if u.startswith(u0) else None
 
 
 def has_branch_pair(f: Element, u: Word, v: Word) -> bool:
-    """True iff some (equivalent) diagram of f has the pair u -> v."""
+    """True iff some diagram of f has the pair u -> v: u lies in a row carrying it to v."""
     return image_of_interval(f, u) == check_word(v)
 
 

@@ -56,22 +56,6 @@ def words_from_texts(texts: list) -> list[Word]:
     return [word_from_text(t) for t in texts]
 
 
-def is_incomparable(u: Word, v: Word) -> bool:
-    """True iff neither word prefixes the other, i.e. [u] and [v] are disjoint."""
-    return not (v.startswith(u) or u.startswith(v))
-
-
-def interval_less(u: Word, v: Word) -> bool:
-    """[u] < [v]: every interior point of [u] below every interior point of [v].
-
-    Only defined for incomparable words, where it coincides with
-    lexicographic order.
-    """
-    if not is_incomparable(u, v):
-        raise ValueError(f"comparable words have overlapping intervals: {u!r}, {v!r}")
-    return u < v
-
-
 _COMPLEMENT = str.maketrans("01", "10")
 
 

@@ -88,6 +88,17 @@ MUTANTS = (
         "    if f is X0:\n        return 0\n    if f is X1:",
         (f"{_ELEMENT_ORACLE}::test_generators_rotate_when_read_back_from_text",),
     ),
+    # --- a branch pair lies inside one row ---
+    Mutant(
+        "a row's ancestor accepted as a branch",
+        "element.py",
+        "if u.startswith(u0) else None",
+        "if u0.startswith(u) or u.startswith(u0) else None",
+        (
+            f"{_ELEMENT_ORACLE}::test_locator_matches_scan_on_intervals",
+            f"{_ELEMENT_ORACLE}::test_no_ancestor_of_a_row_is_a_branch",
+        ),
+    ),
     # --- both codes of a table checked in one call ---
     Mutant(
         "no per-code prefix scan",
@@ -125,12 +136,12 @@ MUTANTS = (
         "        sign = -1",
         ("tests/test_dynamics.py::test_row_reads_match_the_searches",),
     ),
-    Mutant(
-        "f^-1's branch pairs checked unreversed",
+    Mutant(  # the triple is read with no re-check: its arithmetic must be pinned
+        "u's tail one letter long",
         "dynamics.py",
-        "steps = ((u, v), (v, w)) if sign > 0 else ((v, u), (w, v))",
-        "steps = ((u, v), (v, w))",
-        ("tests/test_dynamics.py::test_row_reads_match_the_searches",),
+        "(2 * n - m)",
+        "(2 * n)",
+        ("tests/test_dynamics.py::test_uvw_contract",),
     ),
     Mutant(
         "padding at fewer than two trailing branches",

@@ -15,6 +15,7 @@ from thompsonf import (
     X1,
     compose,
     eval_word,
+    flip,
     has_branch_pair,
     invert,
     synthesize,
@@ -180,6 +181,32 @@ def test_broken_slope_fails(good):
     bad = replace(good, slope=SlopeWitness(good.slope.word, good.w + "111"))
     verdict = certify_normal_generation(bad)
     assert verdict.code == "slope"
+
+
+@pytest.mark.parametrize(
+    "word, lhs, rhs, detail",
+    [
+        ((("g", -1),), "00000", "000000",
+         "shift pair does not strictly shorten the tail (5 -> 6)"),
+        ((("g", 1),), "0001", "0010", "shift pair 0001 -> 0010 has mismatched bases"),
+        ((("g", 1),), "0110100", "011010",  # w + 10100 -> w + 1010, x1's copy in g
+         "stem is not a tail extension of the shift pair's base"),
+    ],
+)
+def test_bad_left_shift_pair_fails(good, word, lhs, rhs, detail):
+    # the old shift pair joins the witnesses, so the closure only grows and
+    # conditions 1-2 still hold; the new one is a true pair of g or g^-1
+    sch = good.left_schema
+    bad = replace(good, witnesses=good.witnesses + (sch.witness,),
+                  left_schema=replace(sch, witness=Witness(word, lhs, rhs)))
+    assert str(certify_normal_generation(bad)) == f"FAIL condition-3: {detail} at closure bound 11"
+
+
+def test_slope_witness_with_a_wrong_left_slope_fails():
+    # flip(x1) fixes 1/2 and has slope 2 just left of it
+    cert = synthesize(flip(X1), 1, 1).certificate
+    bad = replace(cert, slope=SlopeWitness((("f", 1),), "1"))
+    assert str(certify_normal_generation(bad)) == "FAIL slope: left slope is not 1"
 
 
 def test_structural_garbage_fails(good):

@@ -112,6 +112,13 @@ def test_abelianize_reads_endpoint_slopes(f):
     assert in_derived(f) == (image == AbelianImage(0, 0))
 
 
+def test_slopes_past_the_ends_are_refused():
+    with pytest.raises(ValueError, match="no right slope at t = 1"):
+        slope_right(X0, ONE)
+    with pytest.raises(ValueError, match="no left slope at t = 0"):
+        slope_left(X0, ZERO)
+
+
 def test_commutators_land_in_derived_subgroup():
     assert in_derived(commutator(X0, X1))
     assert not in_derived(X0)

@@ -150,6 +150,10 @@ letters = st.lists(
     st.tuples(st.sampled_from((X0, X1)), st.sampled_from((1, -1))), max_size=15
 )
 reference_elements = letters.map(reference_word)
+# h f h^-1: f's moves carried elsewhere, with rows of many depths
+conjugates = st.tuples(reference_elements, reference_elements).map(
+    lambda hf: compose(compose(hf[0], hf[1]), invert(hf[0]))
+)
 GENS = {"x0": X0, "x1": X1, "id": IDENTITY}
 
 
@@ -249,6 +253,16 @@ def test_locator_matches_scan_at_points(f, t):
 @given(reference_elements, st.text(alphabet="01", max_size=10))
 def test_locator_matches_scan_on_intervals(f, u):
     assert image_of_interval(f, u) == scan_image_of_interval(f, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(reference_elements, conjugates))
+def test_no_ancestor_of_a_row_is_a_branch(f):
+    # random words seldom contain two rows, so ask about every proper prefix
+    # of every domain word: in a reduced table none is carried linearly
+    for u in {x[:i] for x in f.domain for i in range(len(x))}:
+        assert image_of_interval(f, u) is None
+        assert scan_image_of_interval(f, u) is None
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,9 +11,7 @@ from thompsonf.words import (
     ONE,
     ZERO,
     in_B_prime,
-    interval_less,
     is_complete_prefix_code,
-    is_incomparable,
     parse_dyadic,
     parse_int,
     word_to_dyadic,
@@ -183,14 +181,6 @@ def test_word_interval_consistency(u):
 @given(st.text(alphabet="01", max_size=8), st.text(alphabet="01", max_size=8))
 def test_prefix_relations(u, v):
     assert is_prefix(u, v) == v.startswith(u)
-    assert is_incomparable(u, v) == (not v.startswith(u) and not u.startswith(v))
-    if is_incomparable(u, v):
-        # disjoint intervals are totally ordered, matching lex order
-        assert interval_less(u, v) != interval_less(v, u)
-        assert interval_less(u, v) == (u < v)
-    else:
-        with pytest.raises(ValueError):
-            interval_less(u, v)
 
 
 def test_complete_prefix_codes():
