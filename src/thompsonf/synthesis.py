@@ -157,14 +157,27 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     and length bounds do not depend on the seeds. The witnesses
     `needed_seeds` proves necessary are kept, and are in the seeds of every
     other witness's trial, so they are folded once, with the schema pairs.
-    The other trials are decided offline on one rolled-back closure: `solve(lo, hi)` starts from the survivors before
-    lo and every undecided witness from hi on, so each is folded O(log R)
-    times for R undecided."""
+    A witness with lhs == rhs, or whose pair, either way round, is that of
+    a later witness, a proven one or a schema pair, is dropped with no
+    trial: that pair is in every trial state that holds the witness, so
+    dropping it leaves the closure as it is, and the state with it holds
+    the conditions. Distinct words are distinct nodes, so word pairs decide
+    this. The other trials are decided offline on one rolled-back closure:
+    `solve(lo, hi)` starts from the survivors before lo and every undecided
+    witness from hi on, so each is folded O(log R) times for R undecided."""
     n = len(cert.witnesses)  # seeds n and n + 1 are the schema pairs
-    cong = SuffixCongruence(closure_seeds(cert), _obligations(cert))
+    seeds = closure_seeds(cert)
+    cong = SuffixCongruence(seeds, _obligations(cert))
     total = cong.weight(cert.w)  # every obligation node, since all are ~ w
     kept = cong.needed_seeds(cert.w, n)
-    rest = sorted(set(range(n)).difference(kept))
+    known = {pair for k in (*kept, n, n + 1) for pair in (seeds[k], seeds[k][::-1])}
+    rest = []
+    for k in sorted(set(range(n)).difference(kept), reverse=True):
+        u, v = seeds[k]
+        if u != v and (u, v) not in known:
+            rest.append(k)
+            known.update(((u, v), (v, u)))
+    rest.reverse()
     cong.rollback(0)
     cong.add([*kept, n, n + 1])
 

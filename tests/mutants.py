@@ -214,6 +214,34 @@ MUTANTS = (
         "if kind is int and not isinstance(value, int):",
         (f"{_CODEC}::test_decode_fault_is_pinned",),
     ),
+    # --- the closure engine's prefix rules, family walk and no-trial drops ---
+    Mutant(
+        "the parting at prev's last 0 taken unverified",
+        "certify.py",
+        '                if not word.startswith(prev[:i] + "1"):\n'
+        "                    i = _common_prefix(prev, word)\n",
+        "",
+        ("tests/test_congruence_oracle.py::test_one_node_per_distinct_prefix",),
+    ),
+    Mutant(  # only a stem off the trie leaves it at a member that may reach w's state
+        "the family walk's off-trie step losing its rest",
+        "certify.py",
+        "                rest += t\n",
+        "                rest = t\n",
+        ("tests/test_prune_oracle.py::test_family_walk_ends_soon_after_leaving_the_trie",),
+    ),
+    Mutant(
+        "a repeated pair dropped at its later copy",
+        "synthesis.py",
+        "    for k in sorted(set(range(n)).difference(kept), reverse=True):\n"
+        "        u, v = seeds[k]\n        if u != v and (u, v) not in known:\n"
+        "            rest.append(k)\n            known.update(((u, v), (v, u)))\n"
+        "    rest.reverse()\n",
+        "    for k in sorted(set(range(n)).difference(kept)):\n"
+        "        u, v = seeds[k]\n        if u != v and (u, v) not in known:\n"
+        "            rest.append(k)\n            known.update(((u, v), (v, u)))\n",
+        ("tests/test_prune_oracle.py::test_pruner_matches_reference_on_repeated_pairs",),
+    ),
     # --- Dyadic ---
     Mutant(
         "Dyadic.__lt__ by tuple order",

@@ -258,10 +258,14 @@ def test_huge_power_of_an_identity_partner_checks_fast(good):
 
 
 def test_each_distinct_word_is_evaluated_once(monkeypatch):
-    cert = synthesize(X0, 3, 3).certificate
+    # words f^-1, g^-1 and g: the bare f and g are the certificate's own
+    # elements and are never evaluated; every other word is, once per check
+    cert = synthesize(invert(X0), -3, 3).certificate
     words = [w.word for w in (*cert.witnesses, cert.left_schema.witness,
                               cert.right_schema.witness)] + [cert.slope.word]
     assert len(set(words)) < len(words)  # the words do repeat
+    evaluated = set(words) - {(("f", 1),), (("g", 1),)}
+    assert evaluated and (("g", 1),) in words
     calls = collections.Counter()
 
     def counting_eval_word(word, assignment):
@@ -270,10 +274,10 @@ def test_each_distinct_word_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(certify_module, "eval_word", counting_eval_word)
     assert certify_normal_generation(cert).ok
-    assert calls == collections.Counter(set(words))
+    assert calls == collections.Counter(evaluated)
     # the memo lives for one call only
     assert certify_normal_generation(cert).ok
-    assert calls == collections.Counter({w: 2 for w in set(words)})
+    assert calls == collections.Counter({w: 2 for w in evaluated})
 
 
 def test_table_rows_are_accepted_by_lookup(monkeypatch):

@@ -14,7 +14,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thompsonf import X0, power, synthesis, synthesize
 from thompsonf.certify import SuffixCongruence
@@ -85,8 +85,27 @@ def closure_cases(draw):
     return seeds, weighted, queries, ops
 
 
+# the build reads each word's common prefix with its sorted predecessor by
+# one of three rules: the predecessor prefixes the word ("01", "011"); the
+# two part at the predecessor's last 0 ("0011", "01"); or, past both, the
+# bisecting fallback ("0100", "011": they part before the last 0 of "0100")
+PREFIX_RULE_WORDS = ([("01", "011")], [("0011", "01")], [("0100", "011")], [("", "")])
+
+
+def _prefix_rule_case(seeds):
+    words = [u for pair in seeds for u in pair]
+    queries = [(u + x, v + x) for u, v in seeds for x in ("", "0", "1")]
+    queries += [(u, v) for u in words + ["", "1"] for v in words]
+    ops = [("rollback", -1), ("add", [0]), ("mark",), ("rollback", -1), ("add", [0])]
+    return seeds, words[:1], queries, ops
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=closure_cases())
+@example(case=_prefix_rule_case(PREFIX_RULE_WORDS[0]))
+@example(case=_prefix_rule_case(PREFIX_RULE_WORDS[1]))
+@example(case=_prefix_rule_case(PREFIX_RULE_WORDS[2]))
+@example(case=_prefix_rule_case(PREFIX_RULE_WORDS[3]))
 def test_flat_engine_matches_reference(case):
     run_against_reference(*case)
 
@@ -154,6 +173,10 @@ def assert_one_node_per_prefix(seeds, weighted):
 
 @settings(max_examples=200, deadline=None)
 @given(seeds=st.lists(st.tuples(words, words), max_size=8), weighted=st.lists(words, max_size=6))
+@example(seeds=PREFIX_RULE_WORDS[0], weighted=[])
+@example(seeds=PREFIX_RULE_WORDS[1], weighted=[])
+@example(seeds=PREFIX_RULE_WORDS[2], weighted=[])
+@example(seeds=PREFIX_RULE_WORDS[3], weighted=[""])
 def test_one_node_per_distinct_prefix(seeds, weighted):
     assert_one_node_per_prefix(seeds, weighted)
 

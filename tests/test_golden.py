@@ -61,6 +61,13 @@ X0_CASES = {
     ("x0^-1", 0, 3): "101e687d85d35198a02578831b48c014e2f7a7b8d2ea70096955547393d096fd",
     ("x0^-1", 0, -3): "6fdc387f938bb83793e2d828f279de9202d2d74e9ed80d0cdea13b8316480f9d",
     ("x0^-1", 0, 0): "3fe34d044a716ddf94efcc5634265010ee40505aa0bcc79c46d12833dc311b40",
+    # the benchmark's ladder steps
+    ("x0", 6, 6): "e2f30cce328e8b2fec1e9e78701b615afe0a666ba547af17db77e33701d9b899",
+    ("x0", -6, 6): "371258fc4ec0fbb352f27fe74e9633e596629f0fec5ff6399e33a3a5603365c1",
+    ("x0", 12, 12): "ea10d625cde5158a5f191fa473215e2a22fbf6a9f27fd7944b19438383e88a8d",
+    ("x0", -12, 12): "0aed4b08cce3c649867ecd5b2666f980b08ce9bd76fb3b69c13bbd19fd53bcf8",
+    ("x0", 24, 24): "1fce1fbef92a602f8124171e65cb176b0b7a78329ba793b7ddcda4341696287c",
+    ("x0", -24, 24): "b7ae0e41cfa3648726d7c6ae05ee0dc9e83577d24c8a7cb2e5fb713fffc0594b",
     # large ladder steps, where the pruner makes most of its trials
     ("x0", 48, 48): "a5f1724ae69e5e29f2f7020e1946938474aaeb5ba4c504bad474a2e07bbcde4b",
     ("x0", -48, 48): "3be2a5d61f9edd2eca2eaad68ebd553a9923e5a70e5757584d77d8bfa1d82159",

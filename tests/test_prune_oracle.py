@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thompsonf import X0, invert, synthesis, synthesize
+from thompsonf import certify as certify_module
 from thompsonf.certify import (
     Certificate,
     ShiftSchema,
@@ -187,6 +188,43 @@ def test_obligation_counter_matches_conditions(data):
     counted = cong.weight(cert.w) == total
     fresh = SuffixCongruence([seeds[k] for k in subset])
     assert counted == (conditions_error(cert, fresh, cert.depth) is None)
+
+
+@functools.cache
+def injection_bases() -> tuple[Certificate, ...]:
+    with unpruned_certificates() as seen:
+        synthesize(X0, 6, 6)
+        synthesize(X0, -12, 12)
+        corpus_entries(0, 4)
+    return tuple(seen)
+
+
+def _injected(wit: Witness, left: Witness, kind: str) -> Witness:
+    """A plain witness whose pair the certificate holds already, or a trivial one."""
+    if kind == "copy":
+        return wit
+    if kind == "other-word":  # the same pair, under the other letter
+        return replace(wit, word=(("f" if wit.word[0][0] == "g" else "g", 1),))
+    if kind == "reversed":
+        return Witness(wit.word, wit.rhs, wit.lhs)
+    if kind == "trivial":
+        return Witness(wit.word, wit.lhs, wit.lhs)
+    return left  # "schema": a copy of the left shift pair
+
+
+@pytest.mark.parametrize("kind", ["copy", "other-word", "reversed", "trivial", "schema"])
+def test_pruner_matches_reference_on_repeated_pairs(kind):
+    # such a witness is dropped with no trial: its pair, or none, is in every
+    # trial state that holds it. Each is put first and last, so a pruner that
+    # kept the wrong one of two copies would keep the witnesses out of order
+    for base in injection_bases():
+        wits, n = base.witnesses, len(base.witnesses)
+        for j in sorted({0, 1, n // 2, n - 1}):
+            extra = _injected(wits[j], base.left_schema.witness, kind)
+            for spliced in ((extra, *wits), (*wits, extra)):
+                cert = replace(base, witnesses=spliced)
+                got = synthesis._prune_witnesses(cert).witnesses
+                assert got == reference_prune(cert).witnesses, (kind, j)
 
 
 def _fold_count(f, c, d) -> tuple[int, int]:
@@ -372,15 +410,17 @@ def test_family_walk_is_bounded_by_the_trie_at_any_base_count():
     left = replace(cert.left_schema, base_count=10**12)
     cert = replace(cert, left_schema=left, depth=10**12 + 50)
     cong = SuffixCongruence(closure_seeds(cert), queried_words(cert))
-    real_walk, calls = SuffixCongruence.walk, [0]
+    bound, steps = len(cong._kids) // 2 + 2, [0]
 
-    def counting_walk(self, word, state=None):
-        calls[0] += 1
-        return real_walk(self, word, state)
+    def counting_range(n):  # the walk's one loop, cut off past the bound
+        for i in range(n):
+            steps[0] += 1
+            assert steps[0] <= bound, "the walk did not stop at a repeated state"
+            yield i
 
-    with mock.patch.object(SuffixCongruence, "walk", counting_walk):
+    with mock.patch.object(certify_module, "range", counting_range, create=True):
         assert cong.first_unrelated(left.stem, "0", "1", left.base_count, cert.w) is None
-    assert calls[0] <= len(cong._kids) // 2 + 2, calls
+    assert 1 < steps[0] <= bound, steps
     assert certify_normal_generation(cert).ok
 
 
