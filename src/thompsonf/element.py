@@ -332,86 +332,45 @@ def _split(where, leaf: int) -> list:
     return [leaf, new]
 
 
-def _plan(f: Element):
-    """How _tree_product applies f: 0 for X0 and 1 for X1, the depth of the
-    range node they rotate, else f's cut-and-regrow programs for f and f^-1."""
-    if f.pairs == X0.pairs:
-        return 0
-    if f.pairs == X1.pairs:
-        return 1
-    # per leaf, the carets a tree's preorder enters just before it (its
-    # trailing 0s) and those its postorder closes just after it (its 1s)
-    (d0, d1), (r0, r1) = ([[len(u) - len(u.rstrip(b)) for u in code] for b in "01"]
-                          for code in (f.domain, f.range))
-    return [*zip(d0, r1)], [*zip(r0, d1)]
-
-
 def _tree_product(steps) -> Element:
-    """The left-to-right product of f^k over the (_plan(f), k) steps, by tree surgery.
+    """The left-to-right product of x_gen^k over the (gen, k) steps, gen 0 or 1,
+    by rotations of a tree pair.
 
     One tree pair of nested [left, right] lists, domain leaf i onto range leaf
-    i. A factor whose table is X0's or X1's is a rotation: x0 turns the range
-    tree's root from [[a, b], c] into [a, [b, c]], x1 does the same at the
-    root's right child, and k < 0 turns it back, |k| times. Any other f cuts
-    the range tree along f's domain tree and regrows the pieces, in order,
-    along f's range tree (f^-1 swaps them). Both split a range leaf where f's
-    domain tree (its range tree for f^-1) has a caret, and its domain partner,
-    by _split; the carets a rotation needs are exactly those, so it makes the
-    cut's splits and the same unreduced table: at most 1 + sum |k| carets(f)
-    pairs.
+    i. x0 turns the range tree's root from [[a, b], c] into [a, [b, c]], x1
+    does the same at the root's right child, and k < 0 turns it back, |k|
+    times. Where a rotation needs a caret the range tree lacks, _split splits
+    that leaf and its domain partner, so the unreduced table has at most
+    1 + sum |k| carets(x_gen) pairs.
     """
     top, box = [0], [None, 0]  # the domain tree is top[0], the range tree box[1]
     where = [(top, 0)]  # leaf id -> (parent list, side) in the domain tree
-    for plan, k in steps:
-        if plan.__class__ is int:
-            holder = box
-            if plan:
-                holder = box[1]
-                if holder.__class__ is int:
-                    holder = box[1] = _split(where, holder)
-            if k > 0:
-                for _ in range(k):
-                    node = holder[1]
-                    if node.__class__ is int:
-                        node = _split(where, node)
-                    left = node[0]
-                    if left.__class__ is int:
-                        left = _split(where, left)
-                    holder[1] = [left[0], [left[1], node[1]]]
-            else:
-                for _ in range(-k):
-                    node = holder[1]
-                    if node.__class__ is int:
-                        node = _split(where, node)
-                    right = node[1]
-                    if right.__class__ is int:
-                        right = _split(where, right)
-                    holder[1] = [[node[0], right[0]], right[1]]
-            continue
-        program = plan[k < 0]
-        for _ in range(abs(k)):
-            todo, built = [box[1]], []
-            for carets, joins in program:
-                node = todo.pop()
-                while carets:
-                    carets -= 1
-                    if node.__class__ is int:
-                        node = _split(where, node)
-                    todo.append(node[1])
-                    node = node[0]
-                while joins:
-                    joins -= 1
-                    node = [built.pop(), node]
-                built.append(node)
-            box[1] = built.pop()
+    for gen, k in steps:
+        holder = box
+        if gen:
+            holder = box[1]
+            if holder.__class__ is int:
+                holder = box[1] = _split(where, holder)
+        if k > 0:
+            for _ in range(k):
+                node = holder[1]
+                if node.__class__ is int:
+                    node = _split(where, node)
+                left = node[0]
+                if left.__class__ is int:
+                    left = _split(where, left)
+                holder[1] = [left[0], [left[1], node[1]]]
+        else:
+            for _ in range(-k):
+                node = holder[1]
+                if node.__class__ is int:
+                    node = _split(where, node)
+                right = node[1]
+                if right.__class__ is int:
+                    right = _split(where, right)
+                holder[1] = [[node[0], right[0]], right[1]]
     image = dict(_leaves(box[1]))
     return Element(_reduce_pairs([(u, image[i]) for i, u in _leaves(top[0])]))
-
-
-def _squares(f: Element) -> bool:
-    """True iff f^k has so few carets that a long run is cheaper squared by
-    power first: c > 4b, c = carets(f) and b = carets(f^2) - c."""
-    return 4 * (len(compose(f, f).pairs) - len(f.pairs)) < len(f.pairs) - 1
 
 
 def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
@@ -420,16 +379,12 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
     Every name is checked first, so UnknownSymbol is raised even for a letter
     that would cancel. Adjacent letters with the same name are then folded
     into one run on a stack: x^a x^b becomes x^(a+b), a run summing to 0 is
-    dropped and the fold cascades, so x0 x1 x1^-1 x0 gives x0^2. One rule then
-    picks the kernel: one run f^k of an f other than x0 and x1 is power(f, k),
-    and every other word, the empty word included, is one _tree_product. Each
-    distinct name is set up for it once: its identity test, its plan (x0 and
-    x1 rotate the range tree) and, at its first run with |k| > 8, whether it
-    squares. That is O(L) list moves and no table merge, L the sum of
-    |k| carets(f) over the runs f^k. Identity runs are dropped.
-    f^k has about c + |k| b carets, c = carets(f) and b = carets(f^2) - c, so
-    with |k| and c over 8 and c > 4b the run is cheaper squared by power
-    first, which merges O((c + |k| b) log |k|) pairs.
+    dropped and the fold cascades, so x0 x1 x1^-1 x0 gives x0^2. Each distinct
+    name is classified once: identity runs are dropped, a name whose table is
+    x0's or x1's rotates, and any other run f^k is the piece power(f, k).
+    Consecutive rotation runs are one _tree_product piece, O(sum |k|) list
+    moves. The pieces are multiplied pairwise, level by level, left to right,
+    so each takes part in at most ceil(log2 n) composes for n pieces.
     """
     runs: list[tuple[str, int]] = []
     for name, exp in word:
@@ -439,27 +394,29 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
             exp += runs.pop()[1]
         if exp:
             runs.append((name, exp))
-    if len(runs) == 1:
-        (name, k), = runs
-        if assignment[name] not in (X0, X1):
-            return power(assignment[name], k)
-    named, squares, steps = {}, {}, []
+    kinds: dict[str, int | Element | None] = {}  # 0 or 1 rotates, None is dropped
+    pieces, steps = [], []
     for name, k in runs:
-        if name not in named:
+        if name not in kinds:
             f = assignment[name]
-            named[name] = None if f.is_identity() else (f, _plan(f))
-        entry = named[name]
-        if entry is None:
-            continue
-        f, plan = entry
-        if not -9 < k < 9 and len(f.pairs) > 9:
-            if name not in squares:
-                squares[name] = _squares(f)
-            if squares[name]:
-                f, k = power(f, k), 1
-                plan = _plan(f)
-        steps.append((plan, k))
-    return _tree_product(steps)
+            kinds[name] = (0 if f.pairs == X0.pairs else 1 if f.pairs == X1.pairs
+                           else None if f.is_identity() else f)
+        kind = kinds[name]
+        if kind.__class__ is int:
+            steps.append((kind, k))
+        elif kind is not None:
+            if steps:
+                pieces.append(_tree_product(steps))
+                steps = []
+            pieces.append(power(kind, k))
+    if steps:
+        pieces.append(_tree_product(steps))
+    while len(pieces) > 1:
+        paired = [compose(a, b) for a, b in zip(pieces[::2], pieces[1::2])]
+        if len(pieces) & 1:
+            paired.append(pieces[-1])
+        pieces = paired
+    return pieces[0] if pieces else IDENTITY
 
 
 # --- text codec -------------------------------------------------------------

@@ -169,6 +169,8 @@ def parse_dyadic(text: str) -> Dyadic:
     text = text.strip()
     if text.startswith("."):
         bits = check_word(text[1:])
+        if not bits:
+            raise ValueError("a point '.bits' needs at least one bit")
         return word_to_dyadic(bits)
     if "/" in text:
         num_s, den_s = text.split("/", 1)

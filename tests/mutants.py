@@ -49,15 +49,15 @@ MUTANTS = (
     Mutant(  # x1 too: both run one rotation loop
         "x0 rotated the wrong way",
         "element.py",
-        "            if k > 0:\n                for _ in range(k):",
-        "            if k < 0:\n                for _ in range(-k):",
+        "        if k > 0:\n            for _ in range(k):",
+        "        if k < 0:\n            for _ in range(-k):",
         (f"{_ELEMENT_ORACLE}::test_eval_word_matches_left_fold",),
     ),
     Mutant(
         "x1 rotated at the root",
         "element.py",
-        "            if plan:\n                holder = box[1]",
-        "            if plan > 1:\n                holder = box[1]",
+        "        if gen:\n            holder = box[1]",
+        "        if gen > 1:\n            holder = box[1]",
         (f"{_ELEMENT_ORACLE}::test_eval_word_matches_left_fold",),
     ),
     Mutant(
@@ -67,26 +67,27 @@ MUTANTS = (
         "    split = [leaf, new]",
         (f"{_ELEMENT_ORACLE}::test_eval_word_matches_left_fold",),
     ),
+    # --- eval_word: one classification per name, pieces multiplied pairwise ---
     Mutant(
-        "squaring decided per run",
+        "x0 classified by `is`",
         "element.py",
-        "            if name not in squares:",
-        "            if True:",
-        (f"{_ELEMENT_ORACLE}::test_eval_word_squares_runs_whose_powers_grow_slowly",),
-    ),
-    Mutant(
-        "a lone x0 or x1 run squared by power",
-        "element.py",
-        "        if assignment[name] not in (X0, X1):\n",
-        "        if True:\n",
-        (f"{_ELEMENT_ORACLE}::test_a_lone_generator_run_rotates",),
-    ),
-    Mutant(
-        "plan chosen by `is`",
-        "element.py",
-        "    if f.pairs == X0.pairs:\n        return 0\n    if f.pairs == X1.pairs:",
-        "    if f is X0:\n        return 0\n    if f is X1:",
+        "f.pairs == X0.pairs",
+        "f is X0",
         (f"{_ELEMENT_ORACLE}::test_generators_rotate_when_read_back_from_text",),
+    ),
+    Mutant(
+        "identity run kept as a power piece",
+        "element.py",
+        "else None if f.is_identity() else f)",
+        "else f)",
+        (f"{_ELEMENT_ORACLE}::test_eval_word_powers_each_run_of_another_element_once",),
+    ),
+    Mutant(
+        "odd last piece dropped",
+        "element.py",
+        "        if len(pieces) & 1:\n            paired.append(pieces[-1])\n",
+        "",
+        (f"{_ELEMENT_ORACLE}::test_eval_word_matches_left_fold_and_balanced_product",),
     ),
     # --- a branch pair lies inside one row ---
     Mutant(

@@ -7,8 +7,9 @@ returns. They stay small and obviously correct instead of fast.
 node, which the flat, prefix-indexed `SuffixCongruence` replaced,
 `reference_is_complete_prefix_code` the scan that the C-loop check replaced,
 `reference_rectangular_split` the trial division that the lattice's
-gcd peeling replaced, `balanced_product` the pairwise table merging that
-tree surgery replaced in `eval_word` and `thompsonf compose`, and
+gcd peeling replaced, `balanced_product` the pairwise product over every
+run's power, which `eval_word` (and so `thompsonf compose`) keeps only for
+runs of elements other than x0 and x1, rotating those two instead, and
 `reference_parse_element` / `reference_parse_group_word` the line-by-line and
 token-by-token loops that the split-once text parsers replaced.
 `lattice_contains`, `in_derived`, `common_refinement`, `interval_endpoints`

@@ -288,6 +288,7 @@ def test_usage_errors_exit_2():
     assert go(["eval", "x0"])[0] == 2
     assert go(["nonsense"])[0] == 2
     assert go(["eval", "x0", "1/3"])[0] == 2
+    assert go(["eval", "x0", "."])[:2] == (2, "")  # a point needs a bit after its '.'
     assert go(["synthesize", "x1", "--target", "0,2"])[0] == 2
     assert go([])[0] == 2
 

@@ -13,7 +13,7 @@ properties run without a per-example deadline.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thompsonf import (
     IDENTITY,
@@ -283,8 +283,22 @@ def test_eval_word_edge_cases():
     assert eval_word((("x1", 1), ("id", -(10**12)), ("x0", 1)), GENS) == compose(X1, X0)
 
 
+# f and g for the examples below: neither is x0, x1 or the identity, so each
+# of their runs is a power piece between the rotation pieces
+EXAMPLE_F, EXAMPLE_G = compose(X0, X1), compose(invert(X1), power(X0, 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(reference_elements, reference_elements, bound_words)
+@example(EXAMPLE_F, EXAMPLE_G, (("f", 2), ("x0", 1), ("x1", -1)))  # a piece first
+@example(EXAMPLE_F, EXAMPLE_G, (("x1", 1), ("x0", -2), ("g", 3)))  # a piece last
+@example(  # rotations between two pieces
+    EXAMPLE_F, EXAMPLE_G, (("f", -1), ("x0", 2), ("id", 5), ("x1", 1), ("g", -1))
+)
+@example(EXAMPLE_F, EXAMPLE_G, (("id", 3), ("id", -1)))  # identity runs only
+@example(  # five pieces: the last one is left unpaired at the first level
+    EXAMPLE_F, EXAMPLE_G, (("f", 1), ("x0", 1), ("g", 2), ("x1", -1), ("f", -1))
+)
 def test_eval_word_matches_left_fold_and_balanced_product(f, g, word):
     assert READ_BACK_X0 == X0 and READ_BACK_X0 is not X0
     assignment = {"f": f, "g": g, "id": IDENTITY, "x0": READ_BACK_X0, "x1": X1}
@@ -294,15 +308,15 @@ def test_eval_word_matches_left_fold_and_balanced_product(f, g, word):
     assert got == balanced_product(steps).pairs
 
 
-def test_generators_rotate_when_read_back_from_text():
-    # the plan is chosen by table, so a copy of x0 or x1 rotates like the original
-    assert element._plan(READ_BACK_X0) == element._plan(X0) == 0
-    assert element._plan(parse_element(format_element(X1))) == element._plan(X1) == 1
-    # any other table gets its cut-and-regrow programs for f and f^-1
-    assert element._plan(compose(X0, X1)) == (
-        [(2, 0), (1, 0), (0, 0), (0, 3)],
-        [(1, 0), (1, 0), (1, 2), (0, 1)],
-    )
+def test_generators_rotate_when_read_back_from_text(monkeypatch):
+    # names are classified by table, so copies of x0 and x1 rotate like the
+    # originals: their word merges no table and spells the same element
+    word = (("x0", 3), ("x1", -2), ("x0", -1), ("x1", 5))
+    copies = {"x0": READ_BACK_X0, "x1": parse_element(format_element(X1))}
+    assert copies["x1"] == X1 and copies["x1"] is not X1
+    got = []
+    assert _merged_pairs(monkeypatch, lambda: got.append(eval_word(word, copies))) == 0
+    assert got[0].pairs == eval_word(word, GENS).pairs
 
 
 @settings(max_examples=300, deadline=None)
@@ -379,33 +393,25 @@ def test_a_lone_run_of_another_element_is_one_power(monkeypatch, k):
     assert got == reference_eval_word((("f", k),), {"f": f})
 
 
-def test_eval_word_squares_runs_whose_powers_grow_slowly(monkeypatch):
-    # f = h x0 h^-1 has 26 carets, but each power adds about two: applying f^k
-    # by surgery would move |k| carets(f) leaves, so power squares it first.
-    # The partner g of x0 at (1, 1) grows by 3 carets a power against its 11,
-    # and its runs stay in the surgery, as do runs of |k| <= 8. Each name is
-    # squared to decide this at most once, at its first run with |k| > 8.
+def test_eval_word_powers_each_run_of_another_element_once(monkeypatch):
+    # each run f^k of an element other than x0, x1 and the identity is one
+    # power(f, k), a slow-growing conjugate and the partner g of x0 alike;
+    # rotation runs between them call no power, and identity runs are dropped
     f = _slow_conjugate()
     g = synthesize(X0, 1, 1).g
-    assert (len(f.pairs), len(power(f, 2).pairs)) == (27, 29)
-    assert (len(g.pairs), len(power(g, 2).pairs)) == (12, 15)
     calls, real_power = [], element.power
-    squared, real_squares = [], element._squares
 
     def counting_power(e, k):
         calls.append(k)
         return real_power(e, k)
 
-    def recording_squares(e):
-        squared.append(e)
-        return real_squares(e)
-
     monkeypatch.setattr(element, "power", counting_power)
-    monkeypatch.setattr(element, "_squares", recording_squares)
     word = (("f", 300), ("x1", 1), ("g", 40), ("f", -9), ("g", -2), ("f", 8))
-    assignment = {"f": f, "g": g, "x1": X1}
+    assignment = {"f": f, "g": g, "x1": X1, "id": IDENTITY}
     got = eval_word(word, assignment)
-    assert calls == [300, -9]
-    assert squared == [f, g]
+    assert calls == [300, 40, -9, -2, 8]
+    del calls[:]
+    assert eval_word((("id", 5), ("x1", 1), ("id", -3)), assignment) == X1
+    assert calls == []
     monkeypatch.undo()
     assert got == balanced_product([power(assignment[name], k) for name, k in word])

@@ -157,7 +157,7 @@ def test_parse_dyadic(text, num, exp):
 
 @pytest.mark.parametrize(
     "text",
-    ["1/3", "2/5", "x", "", "1/0", "9/8", "2", "1_0/2^4", "\u0661/2", "1/2^0_4", "1/ 2"],
+    ["1/3", "2/5", "x", "", ".", "1/0", "9/8", "2", "1_0/2^4", "\u0661/2", "1/2^0_4", "1/ 2"],
 )
 def test_parse_dyadic_rejects(text):
     with pytest.raises(ValueError):
