@@ -4,7 +4,9 @@ The certificate carries finitely many branch-pair witnesses, two inductive
 shift schemas for the infinite word families, and a slope witness. The
 checker re-derives everything from the certificate alone:
 
-  * each witness word is evaluated and its claimed branch pair re-checked;
+  * each group word's caret bound is held to a budget the certificate's
+    size sets, then the word is evaluated and its claimed branch pair
+    re-checked;
   * the relation closure (symmetry, transitivity, suffix extension) is
     decided exactly by congruence folding on a prefix trie: merge the
     classes of seed pairs, then the classes of same-symbol children of
@@ -27,6 +29,7 @@ from typing import NamedTuple
 from .element import (
     Element,
     GroupWord,
+    caret_bound,
     eval_word,
     evaluate,
     format_group_word,
@@ -151,23 +154,22 @@ class SuffixCongruence:
     membership exactly for arbitrary words, including words outside the trie
     (their class is determined by the longest materialized prefix).
 
-    The trie is built once and closed over every seed. Folds are logged
-    (union by size, no path compression): `rollback` undoes those since a
-    `mark`, `rollback(0)` all of them, and `add` folds seeds back in. Extra
-    nodes change no answer, as folding on any prefix-closed trie holding the
-    added seed words decides the same congruence; so `weighted` words are
-    materialized too, each distinct node of weight 1 that `weight` counts.
+    The trie is built once and closed over every seed (union by size, no
+    path compression). Extra nodes change no answer, as folding on any
+    prefix-closed trie holding the seed words decides the same congruence;
+    so `weighted` words are materialized too, each a node of weight 1. `add`
+    logs each fold and sums class weights for the pruner, which undoes folds
+    (`synthesis._PruningCongruence`).
 
     Layout: every table is a flat int list indexed by node, node 0 being the
     empty word. Node n's children are `_kids[2n]` and `_kids[2n + 1]`, for
     the letters 0 and 1, with -1 for none; a class root's two slots hold a
-    node of each child class its members have. One undo-log entry is one
+    node of each child class its members have. One fold-log entry is one
     int: the merged root times 4, plus 1 if the fold filled its new root's
-    0-slot and 2 if it filled the 1-slot. That root is `_parent[merged]`
-    until the fold is undone. The build inserts the distinct words in
-    sorted order, each from the end of its common prefix with the word
-    before it, along that word's path of nodes; so one step is taken per
-    node, and it keeps no string but the words themselves. The common
+    0-slot and 2 if it filled the 1-slot. The build inserts the distinct
+    words in sorted order, each from the end of its common prefix with the
+    word before it, along that word's path of nodes; so one step is taken
+    per node, and it keeps no string but the words themselves. The common
     prefix with the word before, prev, is read in C calls: it is all of
     prev if word starts with prev; else the two part at a 0 of prev and a 1
     of word, which is prev's last 0 if word starts with the letters of prev
@@ -175,7 +177,7 @@ class SuffixCongruence:
     `_common_prefix`.
     """
 
-    __slots__ = ("_node", "_pairs", "_heavy", "_parent", "_size", "_weight", "_kids", "_log")
+    __slots__ = ("_node", "_pairs", "_parent", "_size", "_weight", "_kids", "_log")
 
     def __init__(self, seeds, weighted=()):
         seeds, weighted = list(seeds), list(weighted)
@@ -203,13 +205,12 @@ class SuffixCongruence:
             node[word] = cur
             prev = word
         self._pairs = [(node[u], node[v]) for u, v in seeds]
-        heavy = self._heavy = {node[x] for x in weighted}
         n = len(kids) >> 1
         self._parent = list(range(n))
         self._size = [1] * n
         self._weight = [0] * n
-        for i in heavy:
-            self._weight[i] = 1
+        for x in weighted:
+            self._weight[node[x]] = 1
         self._log: list[int] = []
         self.add(range(len(self._pairs)))
 
@@ -253,58 +254,6 @@ class SuffixCongruence:
                 else:
                     stack.append((kids[i + 1], child))
             log.append(entry)
-
-    def mark(self) -> int:
-        """The point `rollback` returns to: the folds made so far."""
-        return len(self._log)
-
-    def rollback(self, mark: int) -> None:
-        """Undo every fold made since `mark`, newest first."""
-        parent, size, weight = self._parent, self._size, self._weight
-        kids, log = self._kids, self._log
-        for entry in reversed(log[mark:]):
-            b = entry >> 2
-            a = parent[b]
-            if entry & 1:
-                kids[2 * a] = -1
-            if entry & 2:
-                kids[2 * a + 1] = -1
-            parent[b] = b
-            size[a] -= size[b]
-            weight[a] -= weight[b]
-        del log[mark:]
-
-    def needed_seeds(self, w: Word, limit: int) -> list[int]:
-        """Seeds below `limit` that every closure of fewer seeds needs to
-        hold every weighted word in w's class, read off the closed partition.
-
-        A node's class grows only when a seed names it or when its trie
-        parent's class merges with one that has a child on the same letter,
-        and the closure of fewer seeds refines this one. So a weighted node
-        other than w's that one non-trivial seed alone names, and whose
-        parent is alone in its class here, stays alone without that seed.
-        A parent is read from the child slots; one a fold filled names a
-        merged root, which is never alone, so that read only proves less."""
-        namer: dict[int, int] = {}  # node -> the one non-trivial seed naming it, or -1
-        for k, (u, v) in enumerate(self._pairs):
-            if u != v:
-                namer[u] = -1 if u in namer else k
-                namer[v] = -1 if v in namer else k
-        slot = dict(zip(self._kids, range(len(self._kids))))
-        home, parent, size = self._node.get(w), self._parent, self._size
-        needed = set()
-        for x in self._heavy:
-            k = namer.get(x, -1)
-            if 0 <= k < limit and x != home and x in slot:
-                p = slot[x] >> 1
-                if parent[p] == p and size[p] == 1:
-                    needed.add(k)
-        return sorted(needed)
-
-    def weight(self, word: Word) -> int:
-        """How many weighted nodes the class of `word` holds."""
-        cur, rest = self.walk(word)
-        return 0 if rest else self._weight[cur]
 
     def walk(self, word: Word) -> tuple[int, Word]:
         """(class, unread rest) reached by reading `word` from the empty word.
@@ -416,6 +365,10 @@ def _all_witnesses(cert: Certificate) -> list[Witness]:
     ]
 
 
+def _group_words(cert: Certificate) -> list[GroupWord]:
+    return [wit.word for wit in _all_witnesses(cert)] + [cert.slope.word]
+
+
 def queried_words(cert: Certificate) -> list[Word]:
     """w and the words conditions 1 and 2 relate to it: w0, w1 and the
     inner branches. The certificate spells each of them out."""
@@ -491,10 +444,25 @@ def _structural_error(cert: Certificate) -> str | None:
     if cert.left_schema.base_count < 0 or cert.right_schema.base_count < 0:
         return "negative base_count"
     symbols = cert.assignment()
-    for word in [wit.word for wit in _all_witnesses(cert)] + [cert.slope.word]:
+    for word in _group_words(cert):
         for name, _ in word:
             if name not in symbols:
                 return f"unknown symbol {name!r} in '{format_group_word(word)}'"
+    return None
+
+
+def _budget_error(cert: Certificate) -> str | None:
+    """Names the first group word whose `caret_bound` passes the budget
+    L max(carets(f), carets(g)), L the letters the certificate's group words
+    spell; None if none does. Nothing is evaluated. A letter of exponent +-1
+    adds at most that max, so no word of such letters, as `synthesize`
+    emits, passes it."""
+    words, symbols = _group_words(cert), cert.assignment()
+    budget = sum(map(len, words)) * max(len(h.pairs) - 1 for h in symbols.values())
+    for word in dict.fromkeys(words):
+        bound = caret_bound(word, symbols)
+        if bound > budget:
+            return f"word '{format_group_word(word)}' has caret bound {bound} > budget {budget}"
     return None
 
 
@@ -542,10 +510,10 @@ def certify_normal_generation(
 ) -> CertifyResult:
     """PASS iff the certificate proves <f,g> contains the derived subgroup.
 
-    Checks, in order: structural sanity, every witness (including the two
-    schema shift witnesses), the four tree conditions against the closure of
-    the witness pairs, and the slope witness. The checker never consults how
-    the certificate was produced.
+    Checks, in order: structural sanity, the caret budget of every group
+    word, every witness (including the two schema shift witnesses), the four
+    tree conditions against the closure of the witness pairs, and the slope
+    witness. The checker never consults how the certificate was produced.
 
     The conditions relate only words of at most cert.depth letters; `bound`
     overrides that. A condition that fails reports the bound in its detail
@@ -555,6 +523,9 @@ def certify_normal_generation(
     err = _structural_error(cert)
     if err:
         return _fail("invalid-certificate", err)
+    err = _budget_error(cert)
+    if err:
+        return _fail("over-budget", err)
     # this check's evaluations, never shared. The bare words f and g name
     # the certificate's own elements: eval_word would rebuild equal ones
     memo: dict[GroupWord, Evaluated] = {

@@ -373,6 +373,27 @@ def _tree_product(steps) -> Element:
     return Element(_reduce_pairs([(u, image[i]) for i, u in _leaves(top[0])]))
 
 
+def _runs(word: GroupWord, assignment: dict[str, Element]) -> list[tuple[str, int]]:
+    """eval_word's runs of `word`, each name checked and each run folded."""
+    runs: list[tuple[str, int]] = []
+    for name, exp in word:
+        if name not in assignment:
+            raise UnknownSymbol(name)
+        if runs and runs[-1][0] == name:
+            exp += runs.pop()[1]
+        if exp:
+            runs.append((name, exp))
+    return runs
+
+
+def caret_bound(word: GroupWord, assignment: dict[str, Element]) -> int:
+    """An upper bound on the carets of eval_word(word, assignment), found
+    without evaluating: sum |k| carets(f) over the runs f^k of `word`, as a
+    product has at most the sum of its factors' carets (the identity 0)."""
+    runs = _runs(word, assignment)
+    return sum(abs(k) * (len(assignment[name].pairs) - 1) for name, k in runs)
+
+
 def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
     """The element a group word names, each name standing for its assignment.
 
@@ -386,17 +407,9 @@ def eval_word(word: GroupWord, assignment: dict[str, Element]) -> Element:
     moves. The pieces are multiplied pairwise, level by level, left to right,
     so each takes part in at most ceil(log2 n) composes for n pieces.
     """
-    runs: list[tuple[str, int]] = []
-    for name, exp in word:
-        if name not in assignment:
-            raise UnknownSymbol(name)
-        if runs and runs[-1][0] == name:
-            exp += runs.pop()[1]
-        if exp:
-            runs.append((name, exp))
     kinds: dict[str, int | Element | None] = {}  # 0 or 1 rotates, None is dropped
     pieces, steps = [], []
-    for name, k in runs:
+    for name, k in _runs(word, assignment):
         if name not in kinds:
             f = assignment[name]
             kinds[name] = (0 if f.pairs == X0.pairs else 1 if f.pairs == X1.pairs

@@ -141,6 +141,70 @@ def _required_depth(cert: Certificate) -> int:
     return max(map(len, words)) + 4
 
 
+class _PruningCongruence(SuffixCongruence):
+    """The checker's engine with its weighted nodes counted and its folds
+    undone, newest first, each at its merged root: `rollback` undoes those
+    since a `mark`, `rollback(0)` all of them; `add` folds seeds back in."""
+
+    __slots__ = ("_heavy",)
+
+    def __init__(self, seeds, weighted=()):
+        super().__init__(seeds, weighted := list(weighted))
+        self._heavy = {self._node[x] for x in weighted}
+
+    def mark(self) -> int:
+        """The point `rollback` returns to: the folds made so far."""
+        return len(self._log)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every fold made since `mark`, newest first."""
+        parent, size, weight = self._parent, self._size, self._weight
+        kids, log = self._kids, self._log
+        for entry in reversed(log[mark:]):
+            b = entry >> 2
+            a = parent[b]
+            if entry & 1:
+                kids[2 * a] = -1
+            if entry & 2:
+                kids[2 * a + 1] = -1
+            parent[b] = b
+            size[a] -= size[b]
+            weight[a] -= weight[b]
+        del log[mark:]
+
+    def needed_seeds(self, w: Word, limit: int) -> list[int]:
+        """Seeds below `limit` that every closure of fewer seeds needs to
+        hold every weighted word in w's class, read off the closed partition.
+
+        A node's class grows only when a seed names it or when its trie
+        parent's class merges with one that has a child on the same letter,
+        and the closure of fewer seeds refines this one. So a weighted node
+        other than w's that one non-trivial seed alone names, and whose
+        parent is alone in its class here, stays alone without that seed.
+        A parent is read from the child slots; one a fold filled names a
+        merged root, which is never alone, so that read only proves less."""
+        namer: dict[int, int] = {}  # node -> the one non-trivial seed naming it, or -1
+        for k, (u, v) in enumerate(self._pairs):
+            if u != v:
+                namer[u] = -1 if u in namer else k
+                namer[v] = -1 if v in namer else k
+        slot = dict(zip(self._kids, range(len(self._kids))))
+        home, parent, size = self._node.get(w), self._parent, self._size
+        needed = set()
+        for x in self._heavy:
+            k = namer.get(x, -1)
+            if 0 <= k < limit and x != home and x in slot:
+                p = slot[x] >> 1
+                if parent[p] == p and size[p] == 1:
+                    needed.add(k)
+        return sorted(needed)
+
+    def weight(self, word: Word) -> int:
+        """How many weighted nodes the class of `word` holds."""
+        cur, rest = self.walk(word)
+        return 0 if rest else self._weight[cur]
+
+
 def _prune_witnesses(cert: Certificate) -> Certificate:
     """Greedily drop plain witnesses whose pair the rest already implies.
 
@@ -167,7 +231,7 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     witness from hi on, so each is folded O(log R) times for R undecided."""
     n = len(cert.witnesses)  # seeds n and n + 1 are the schema pairs
     seeds = closure_seeds(cert)
-    cong = SuffixCongruence(seeds, _obligations(cert))
+    cong = _PruningCongruence(seeds, _obligations(cert))
     total = cong.weight(cert.w)  # every obligation node, since all are ~ w
     kept = cong.needed_seeds(cert.w, n)
     known = {pair for k in (*kept, n, n + 1) for pair in (seeds[k], seeds[k][::-1])}

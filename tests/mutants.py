@@ -243,6 +243,30 @@ MUTANTS = (
         "            rest.append(k)\n            known.update(((u, v), (v, u)))\n",
         ("tests/test_prune_oracle.py::test_pruner_matches_reference_on_repeated_pairs",),
     ),
+    # --- the pruner's necessity proof, beside the pruner ---
+    Mutant(
+        "a seed proven needed whatever its node's parent",
+        "synthesis.py",
+        "                if parent[p] == p and size[p] == 1:\n",
+        "                if True:\n",
+        ("tests/test_prune_oracle.py"
+         "::test_needed_seeds_spare_a_seed_whose_node_has_a_merged_parent",),
+    ),
+    # --- the checker's caret budget ---
+    Mutant(
+        ">= for > in the budget",
+        "certify.py",
+        "        if bound > budget:",
+        "        if bound >= budget:",
+        ("tests/test_certify.py::test_word_at_the_budget_is_evaluated",),
+    ),
+    Mutant(  # g^16 is then evaluated: a cheap kill, where g^100000 would exhaust memory
+        "|k| dropped from the caret bound",
+        "element.py",
+        "sum(abs(k) * (len(assignment[name].pairs) - 1)",
+        "sum((len(assignment[name].pairs) - 1)",
+        ("tests/test_certify.py::test_word_at_the_budget_is_evaluated",),
+    ),
     # --- Dyadic ---
     Mutant(
         "Dyadic.__lt__ by tuple order",

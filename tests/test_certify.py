@@ -1,9 +1,11 @@
 import collections
+import inspect
 import itertools
 import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from dataclasses import replace
@@ -18,6 +20,8 @@ from thompsonf import (
     flip,
     has_branch_pair,
     invert,
+    power,
+    synthesis,
     synthesize,
 )
 from thompsonf import certify as certify_module
@@ -257,6 +261,63 @@ def test_huge_power_of_an_identity_partner_checks_fast(good):
     assert time.perf_counter() - start < 5.0
 
 
+# --- the caret budget -------------------------------------------------------------
+
+
+def _with_word(cert: Certificate, text: str) -> Certificate:
+    """cert with one more witness, of the group word `text`, claiming 0 -> 1."""
+    doc = certificate_to_dict(cert)
+    doc["witnesses"].append({"word": text, "lhs": "0", "rhs": "1"})
+    return certificate_from_json(json.dumps(doc))
+
+
+# the x0 (1, 1) certificate and one more witness: 15 group-word letters, and
+# g has 11 carets (f = x0 has 2), so the budget is 15 * 11 = 165
+@pytest.mark.parametrize("k", [10**5, 10**12])
+def test_huge_power_is_over_budget_at_once(good, k):
+    cert = _with_word(good, f"g^{k}")
+    start = time.perf_counter()
+    verdict = certify_normal_generation(cert)
+    assert time.perf_counter() - start < 0.1
+    assert str(verdict) == f"FAIL over-budget: word 'g^{k}' has caret bound {11 * k} > budget 165"
+
+
+def test_word_at_the_budget_is_evaluated(good):
+    # g^15 may have 165 carets, exactly the budget; g^16 may have 176
+    assert str(certify_normal_generation(_with_word(good, "g^15"))) == (
+        "FAIL witness-failed: word 'g^15' does not carry 0 -> 1")
+    assert str(certify_normal_generation(_with_word(good, "g^16"))) == (
+        "FAIL over-budget: word 'g^16' has caret bound 176 > budget 165")
+    assert certify_normal_generation(_with_word(good, "g^2")).code == "witness-failed"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from("fg"), st.sampled_from((1, -1))),
+                         min_size=1, max_size=30), max_size=4))
+def test_words_of_unit_letters_are_within_budget(good, words):
+    extra = tuple(Witness(tuple(word), "0", "1") for word in words)
+    assert certify_module._budget_error(replace(good, witnesses=good.witnesses + extra)) is None
+
+
+@pytest.mark.parametrize("f, c, d", [(power(X0, 1200), 1, 1), (X0, 800, 800)],
+                         ids=["x0^1200 (1,1)", "x0 (800,800)"])
+def test_long_certificates_pass_within_budget(f, c, d):
+    assert certify_normal_generation(synthesize(f, c, d).certificate).ok
+
+
+def test_the_checkers_engine_defines_only_what_the_checker_calls():
+    # the pruner's undo, weight and necessity methods live beside the pruner
+    source = Path(certify_module.__file__).read_text(encoding="utf-8")
+    methods = [name for name, value in vars(SuffixCongruence).items()
+               if inspect.isfunction(value) and not name.startswith("__")]
+    assert methods
+    for name in methods:
+        assert re.search(rf"\.{name}\b", source), name
+    for name in ("mark", "rollback", "weight", "needed_seeds"):
+        assert not hasattr(SuffixCongruence, name)
+        assert name in vars(synthesis._PruningCongruence)
+
+
 def test_each_distinct_word_is_evaluated_once(monkeypatch):
     # words f^-1, g^-1 and g: the bare f and g are the certificate's own
     # elements and are never evaluated; every other word is, once per check
@@ -409,15 +470,17 @@ def test_json_missing_field_is_invalid_certificate(good, key):
 
 # Mutation fuzz: at one path of a genuine certificate dict, delete the key
 # (or list item) or put one of a fixed set of JSON values there. Decoding
-# and checking must end in a CertifyResult or a CertificateFormatError. The
-# values hold no large exponents, so every check stays small.
+# and checking must end in a CertifyResult or a CertificateFormatError, each
+# within a second. The values include group words of large exponents and a
+# large integer, which a check may neither evaluate nor count up to.
 class _Delete:
     def __repr__(self):
         return "DELETE"
 
 
 _DELETE = _Delete()
-_REPLACEMENTS = (_DELETE, None, 0, -1, True, 1.5, "", "e", "x", [], {})
+_REPLACEMENTS = (_DELETE, None, 0, -1, True, 1.5, "", "e", "x", [], {}, 10**12,
+                 "g^100000", "f^-1000000000000 g", "g^99999999999 g^-99999999999 f")
 
 
 def _paths(obj, prefix=()):
@@ -467,11 +530,13 @@ def _mutations(draw, doc):
 
 
 def _decode_and_check(doc) -> None:
+    start = time.perf_counter()
     try:
         cert = certificate_from_json(json.dumps(doc))
     except CertificateFormatError:
         return
     assert isinstance(certify_normal_generation(cert), certify_module.CertifyResult)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_every_single_mutation_decodes_or_fails_cleanly():

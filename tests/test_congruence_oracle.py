@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from thompsonf import X0, power, synthesis, synthesize
 from thompsonf.certify import SuffixCongruence
+from thompsonf.synthesis import _PruningCongruence
 
 from oracles import ReferenceCongruence
 
@@ -48,7 +49,7 @@ def assert_same_partition(cong, ref, queries, probes):
 def run_against_reference(seeds, weighted, queries, ops):
     """Apply ops, each ("add", indices), ("mark",) or ("rollback", i) for the
     i-th mark still open (-1 for the empty log), to both engines."""
-    cong, ref = SuffixCongruence(seeds, weighted), ReferenceCongruence(seeds, weighted)
+    cong, ref = _PruningCongruence(seeds, weighted), ReferenceCongruence(seeds, weighted)
     probes = list(weighted) + [u for pair in queries for u in pair]
     assert_same_partition(cong, ref, queries, probes)
     marks = []
@@ -159,7 +160,7 @@ def assert_one_node_per_prefix(seeds, weighted):
     """The trie holds exactly one node per distinct prefix, "" included, of
     the seed and weighted words: with every fold undone, each prefix walks
     to its own node and reads the whole word."""
-    cong = SuffixCongruence(seeds, weighted)
+    cong = _PruningCongruence(seeds, weighted)
     want = prefixes([u for pair in seeds for u in pair] + list(weighted))
     assert len(cong._parent) == len(cong._kids) // 2 == len(want)
     cong.rollback(0)

@@ -180,7 +180,7 @@ def test_obligation_counter_matches_conditions(data):
     dropped = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
     subset = [k for k in range(n) if k not in dropped] + [n, n + 1]  # schema pairs always in
     seeds = closure_seeds(cert)
-    cong = SuffixCongruence(seeds, synthesis._obligations(cert))
+    cong = synthesis._PruningCongruence(seeds, synthesis._obligations(cert))
     assert conditions_error(cert, cong, cert.depth) is None  # the counter's precondition
     total = cong.weight(cert.w)
     cong.rollback(0)
@@ -287,14 +287,22 @@ def test_needed_seeds_are_needed(seeds, heavy, extra, limit):
     words = [u for pair in seeds for u in pair]
     weighted = [words[i % len(words)] for i in heavy] + extra
     w = weighted[0]
-    needed = SuffixCongruence(seeds, weighted).needed_seeds(w, limit)
+    needed = synthesis._PruningCongruence(seeds, weighted).needed_seeds(w, limit)
     assert needed == sorted(set(needed)) and all(k < limit for k in needed)
     for k in needed:
         fresh = SuffixCongruence(seeds[:k] + seeds[k + 1:], weighted)
         assert not all(fresh.same(x, w) for x in weighted), (k, seeds)
 
 
-def _snapshot(cong: SuffixCongruence):
+def test_needed_seeds_spare_a_seed_whose_node_has_a_merged_parent():
+    # 1 ~ 10 folds 10 ~ 100, so the seed (100, 10), which alone names 100,
+    # is not needed: 100's parent 10 is not alone in its class
+    seeds, weighted = [("1", "10"), ("100", "10")], ["10", "100"]
+    assert synthesis._PruningCongruence(seeds, weighted).needed_seeds("10", 2) == []
+    assert SuffixCongruence(seeds[:1], weighted).same("100", "10")
+
+
+def _snapshot(cong: synthesis._PruningCongruence):
     return (
         list(cong._parent),
         list(cong._size),
@@ -311,12 +319,12 @@ def test_rollback_matches_a_fresh_closure(seeds, data):
     queries = data.draw(st.lists(st.tuples(short_words, short_words), max_size=12))
     queries += seeds
     probes = weighted + [u for pair in queries for u in pair]
-    cong = SuffixCongruence(seeds, weighted)
+    cong = synthesis._PruningCongruence(seeds, weighted)
     added = list(range(len(seeds)))
     marks = []  # (mark, snapshot, seeds added at the mark)
 
     def agrees_with_fresh():
-        fresh = SuffixCongruence([seeds[k] for k in added], weighted)
+        fresh = synthesis._PruningCongruence([seeds[k] for k in added], weighted)
         for u, v in queries:
             assert cong.same(u, v) == fresh.same(u, v), (u, v, added)
         for u in probes:
