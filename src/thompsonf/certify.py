@@ -22,6 +22,7 @@ FAIL is a value carrying a machine-readable reason code, never an exception.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -123,28 +124,6 @@ def _fail(code: str, detail: str) -> CertifyResult:
 # --- closure engine ----------------------------------------------------------
 
 
-def _common_prefix(a: Word, b: Word) -> int:
-    """The length of the longest common prefix of a and b.
-
-    Steps back from the end of the shorter word in doubling strides, then
-    bisects the last stride: O(log d) slice comparisons, d being how far
-    the common prefix ends before the shorter word does. The closure's
-    trie build calls it only for sorted neighbours that part before the
-    last 0 of the first: 9 of 6,974 words in the syntheses of
-    `corpus_entries(0, 100)`."""
-    hi = lo = min(len(a), len(b))
-    step = 1
-    while not b.startswith(a[:lo]):  # the common prefix is shorter than lo
-        hi, lo, step = lo - 1, max(lo - step, 0), 2 * step
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if b.startswith(a[lo:mid], lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 class SuffixCongruence:
     """Smallest right congruence on binary words containing the seed pairs.
 
@@ -173,8 +152,8 @@ class SuffixCongruence:
     prefix with the word before, prev, is read in C calls: it is all of
     prev if word starts with prev; else the two part at a 0 of prev and a 1
     of word, which is prev's last 0 if word starts with the letters of prev
-    before it and a 1. Only a word that parts earlier reaches
-    `_common_prefix`.
+    before it and a 1. For a word that parts earlier, the parting is
+    bisected between the start and that 0, in O(log |prev|) C comparisons.
     """
 
     __slots__ = ("_node", "_pairs", "_parent", "_size", "_weight", "_kids", "_log")
@@ -193,7 +172,8 @@ class SuffixCongruence:
             else:
                 i = len(prev.rstrip("1")) - 1  # >= 0: an all-1 prev prefixes every later word
                 if not word.startswith(prev[:i] + "1"):
-                    i = _common_prefix(prev, word)
+                    # they part before that 0: at the first m with prev[:m + 1] no prefix of word
+                    i = bisect_left(range(i), True, key=lambda m: not word.startswith(prev[:m + 1]))
             del path[i + 1:]
             cur = path[i]
             for ch in word[i:]:

@@ -65,7 +65,7 @@ def resolve_element(ref: str) -> Element:
     if ref in _BUILTINS:
         return _BUILTINS[ref]
     if os.path.exists(ref):
-        with open(ref, encoding="utf-8") as fh:
+        with open(ref, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             return parse_element(fh.read())
     return eval_word(parse_group_word(ref), _BUILTINS)
 

@@ -25,7 +25,6 @@ from .words import (
     flip_word,
     is_complete_prefix_code,
     parse_int,
-    word_from_text,
     word_to_dyadic,
     word_to_text,
     words_from_texts,
@@ -70,11 +69,10 @@ def _reduce_pairs(pairs: list[tuple[Word, Word]]) -> tuple[tuple[Word, Word], ..
 class Element:
     """Immutable element of F; equality is reduced-diagram identity."""
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ("pairs",)
 
     def __init__(self, pairs):
         object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "_hash", hash(self.pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -83,7 +81,7 @@ class Element:
         return isinstance(other, Element) and self.pairs == other.pairs
 
     def __hash__(self):
-        return self._hash
+        return hash(self.pairs)
 
     def __repr__(self):
         body = ", ".join(
@@ -442,40 +440,25 @@ def format_element(f: Element) -> str:
     ) + "\n"
 
 
-def _pairs_by_line(text: str) -> list[tuple[Word, Word]]:
-    """Branch pairs of 'u -> v' lines; '#' starts a comment, blank lines are skipped."""
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("->")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u -> v', got {raw!r}")
-        pairs.append((word_from_text(parts[0].strip()), word_from_text(parts[1].strip())))
-    if not pairs:
-        raise ValueError("no branch pairs found")
-    return pairs
-
-
 def parse_element(text: str) -> Element:
     """The element of a branch-pair table, read back from format_element's text.
 
-    Text in exactly format_element's layout, with no '#' and no '->' inside a
-    word, is split once and its words are checked in one C scan: reading it
-    line by line would give the same pairs. Any other text is read line by line.
+    One 'u -> v' pair per line; '#' starts a comment and blank lines are
+    skipped. The words are checked in one C scan at the end, or, at a line
+    without exactly one '->', the words before it first: the first fault in
+    the text is the one reported.
     """
-    tokens = text.split()
-    rows = text.count("\n")
-    if (
-        rows
-        and len(tokens) == 3 * rows == 3 * text.count("->")
-        and "#" not in text
-        and "".join([f"{u} -> {v}\n" for u, v in zip(tokens[::3], tokens[2::3])]) == text
-    ):
-        del tokens[1::3]
-        words = words_from_texts(tokens)
-        pairs = [*zip(words[::2], words[1::2])]
-    else:
-        pairs = _pairs_by_line(text)
-    return from_branch_pairs(pairs)
+    sides = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        parts = line.split("->")
+        if len(parts) != 2:
+            words_from_texts(sides)
+            raise ValueError(f"line {lineno}: expected 'u -> v', got {raw!r}")
+        sides += (parts[0].strip(), parts[1].strip())
+    if not sides:
+        raise ValueError("no branch pairs found")
+    words = words_from_texts(sides)
+    return from_codes(words[::2], words[1::2])

@@ -55,7 +55,11 @@ CARET: Tree = ("0", "1")
 class SynthesisResult:
     certificate: Certificate
     target: AbelianImage
-    part: int
+
+    @property
+    def part(self) -> int:  # 1: (c, d), 2: (c, 0), 3: (0, d), 4: (0, 0)
+        c, d = self.target
+        return 4 - 2 * (c != 0) - (d != 0)
 
     @property
     def g(self) -> Element:
@@ -318,7 +322,6 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     and takes g as its inverse: <f, g> = <f, g^-1>, so the certificate is
     the same but for the sign of every g-letter."""
     target = AbelianImage(c, d)
-    part = 4 - 2 * (c != 0) - (d != 0)  # 1: (c, d), 2: (c, 0), 3: (0, d), 4: (0, 0)
     sign = -1 if (c or d) < 0 else 1
     c, d = sign * c, sign * d
     left_tail = None if c else _tail_pair(f, "0")
@@ -365,7 +368,7 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
     # it only filters query lengths, and _required_depth covers every word
     # the conditions query.
     cert = replace(cert, depth=_required_depth(cert))
-    return SynthesisResult(_prune_witnesses(cert), target, part)
+    return SynthesisResult(_prune_witnesses(cert), target)
 
 
 def synthesize(f: Element, c: int, d: int) -> SynthesisResult:

@@ -122,6 +122,14 @@ MUTANTS = (
         "        if True:\n",
         (f"{_CODEC}::test_table_check_reports_the_domain_first",),
     ),
+    # --- the table reader's one line loop and one word scan ---
+    Mutant(
+        "a malformed line reported before a bad word above it",
+        "element.py",
+        "            words_from_texts(sides)\n            raise ValueError",
+        "            raise ValueError",
+        ("tests/test_parse_oracle.py::test_parse_element_cases",),
+    ),
     # --- f's moved triple and tail pairs read off its rows ---
     Mutant(
         "the last row read at both ends",
@@ -219,9 +227,15 @@ MUTANTS = (
     Mutant(
         "the parting at prev's last 0 taken unverified",
         "certify.py",
-        '                if not word.startswith(prev[:i] + "1"):\n'
-        "                    i = _common_prefix(prev, word)\n",
-        "",
+        'if not word.startswith(prev[:i] + "1"):',
+        "if False:",
+        ("tests/test_congruence_oracle.py::test_one_node_per_distinct_prefix",),
+    ),
+    Mutant(
+        "the bisect one letter long",
+        "certify.py",
+        "not word.startswith(prev[:m + 1])",
+        "not word.startswith(prev[:m])",
         ("tests/test_congruence_oracle.py::test_one_node_per_distinct_prefix",),
     ),
     Mutant(  # only a stem off the trie leaves it at a member that may reach w's state

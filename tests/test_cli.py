@@ -78,6 +78,16 @@ def test_parse_normalizes(tmp_path):
     assert out == "00 -> 0\n01 -> 10\n1 -> 11\n"
 
 
+def test_parse_skips_a_byte_order_mark(tmp_path):
+    """A table saved with a UTF-8 byte-order mark, CRLF lines, a comment and a
+    blank line reads as the table itself."""
+    p = tmp_path / "f.elt"
+    p.write_bytes(b"\xef\xbb\xbf# x0\r\n00 -> 0\r\n\r\n01 -> 10\r\n1 -> 11\r\n")
+    assert go(["parse", str(p)]) == (0, "00 -> 0\n01 -> 10\n1 -> 11\n", "")
+    p.write_bytes(b"\xef\xbb\xbf00 -> 2\n01 -> 10\n1 -> 11 -> 0\n")
+    assert go(["parse", str(p)]) == (2, "", "error: not a binary word: '2'\n")
+
+
 def test_compose_invert_flip_round_trip():
     rc, out, _ = go(["compose", "x0", "x1"])
     assert rc == 0

@@ -178,6 +178,8 @@ def assert_one_node_per_prefix(seeds, weighted):
 @example(seeds=PREFIX_RULE_WORDS[1], weighted=[])
 @example(seeds=PREFIX_RULE_WORDS[2], weighted=[])
 @example(seeds=PREFIX_RULE_WORDS[3], weighted=[""])
+# sorted, each word parts from the one before it before that one's last 0, after 5 and 3 letters
+@example(seeds=[("0110100", "01110")], weighted=["0110111"])
 def test_one_node_per_distinct_prefix(seeds, weighted):
     assert_one_node_per_prefix(seeds, weighted)
 

@@ -174,6 +174,16 @@ def test_element_text_round_trip(f):
     assert parse_element(format_element(f)) == f
 
 
+def test_equal_elements_hash_equal_and_are_immutable():
+    built = [parse_element("# x0\n000 -> 00\n001 -> 01\n01 -> 10\n1 -> 11\n"),
+             from_codes(("00", "01", "1"), ("0", "10", "11")), compose(X0, IDENTITY), X0]
+    assert len({hash(f) for f in built}) == 1
+    assert len(set(built)) == 1 and {X0: 1}[built[0]] == 1
+    with pytest.raises(AttributeError):
+        built[0].pairs = X1.pairs
+    assert built[0] == X0
+
+
 def test_parse_element_accepts_comments():
     text = "# generator\n00 -> 0\n01 -> 10\n1 -> 11\n"
     assert parse_element(text) == X0

@@ -1,13 +1,14 @@
-"""The split-once text parsers against the line-by-line and token-by-token
-loops they replaced (tests/oracles.py): for every text, the same result, or
-an exception of the same type with the same message."""
+"""The text parsers, which check words or tokens in bulk, against the
+line-by-line and token-by-token loops they replaced (tests/oracles.py): for
+every text, the same result, or an exception of the same type with the same
+message."""
 
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thompsonf import X0, element, eval_word, format_element, parse_element, parse_group_word
+from thompsonf import element, eval_word, format_element, parse_element, parse_group_word
 
 from conftest import GENS
 from oracles import reference_parse_element, reference_parse_group_word
@@ -53,6 +54,11 @@ ELEMENT_TEXTS = [
     "0 -> 0\n1 -> 1\n1 -> 1\n",
     "0 0 0\n",
     "0#1 -> 0\n",
+    "00 -> 2\n01 -> 10\n1 -> 11 -> 0\n",
+    "00 -> 0\n01 -> 10 -> 1\n1 -> 2\n",
+    "00 -> 0\r\n\r\n# x0\r\n01 -> 10\r\n1 -> 11 # last\r\n",
+    "->\n",
+    "0 -> 1 -> 0\n",
 ]
 
 GROUP_WORD_TEXTS = [
@@ -131,15 +137,3 @@ def test_group_word_parses_each_distinct_token_once(monkeypatch):
     assert len(word) == len(tokens)
     assert sorted(calls) == sorted(set(tokens))
     assert word == reference_parse_group_word(" ".join(tokens))
-
-
-def test_canonical_table_skips_the_line_loop(monkeypatch):
-    rng = random.Random(5)
-    f = eval_word(tuple((rng.choice(("x0", "x1")), rng.choice((1, -1))) for _ in range(4000)), GENS)
-    assert len(f.pairs) >= 300
-    pairs_by_line, calls = element._pairs_by_line, []
-    monkeypatch.setattr(element, "_pairs_by_line", lambda t: calls.append(t) or pairs_by_line(t))
-    assert parse_element(format_element(f)) == f
-    assert calls == []
-    parse_element("# x0\n" + format_element(X0))
-    assert len(calls) == 1

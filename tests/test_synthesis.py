@@ -241,7 +241,7 @@ def test_complete_generating_pair_refuses_what_it_cannot_serve(capsys):
 
 def test_result_keeps_only_what_callers_read():
     names = [field.name for field in fields(synthesis.SynthesisResult)]
-    assert names == ["certificate", "target", "part"]
+    assert names == ["certificate", "target"]  # part is read off the target
 
 
 def test_finite_index_pair():
