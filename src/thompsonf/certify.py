@@ -361,6 +361,10 @@ def closure_seeds(cert: Certificate) -> list[Relation]:
     return [wit.pair for wit in _all_witnesses(cert)]
 
 
+# a FAIL detail spells a family member's tail out up to this many letters
+_SPELLED_TAIL = 64
+
+
 def _schema_error(
     cert: Certificate, schema: ShiftSchema, cong: SuffixCongruence, bound: int, side: str
 ) -> str | None:
@@ -392,7 +396,8 @@ def _schema_error(
     if i is None and count < schema.base_count:
         i = count
     if i is not None:
-        member = schema.stem + t * i + schema.suffix
+        # a bound cut can name a member of 10^12 letters: write a long tail as a power
+        member = schema.stem + (t * i if i <= _SPELLED_TAIL else f"({t}^{i})") + schema.suffix
         return f"base relation {word_to_text(member)} ~ {word_to_text(cert.w)} unproved"
     return None
 

@@ -225,12 +225,7 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     and length bounds do not depend on the seeds. The witnesses
     `needed_seeds` proves necessary are kept, and are in the seeds of every
     other witness's trial, so they are folded once, with the schema pairs.
-    A witness with lhs == rhs, or whose pair, either way round, is that of
-    a later witness, a proven one or a schema pair, is dropped with no
-    trial: that pair is in every trial state that holds the witness, so
-    dropping it leaves the closure as it is, and the state with it holds
-    the conditions. Distinct words are distinct nodes, so word pairs decide
-    this. The other trials are decided offline on one rolled-back closure:
+    Every other witness is tried, offline on one rolled-back closure:
     `solve(lo, hi)` starts from the survivors before lo and every undecided
     witness from hi on, so each is folded O(log R) times for R undecided."""
     n = len(cert.witnesses)  # seeds n and n + 1 are the schema pairs
@@ -238,14 +233,7 @@ def _prune_witnesses(cert: Certificate) -> Certificate:
     cong = _PruningCongruence(seeds, _obligations(cert))
     total = cong.weight(cert.w)  # every obligation node, since all are ~ w
     kept = cong.needed_seeds(cert.w, n)
-    known = {pair for k in (*kept, n, n + 1) for pair in (seeds[k], seeds[k][::-1])}
-    rest = []
-    for k in sorted(set(range(n)).difference(kept), reverse=True):
-        u, v = seeds[k]
-        if u != v and (u, v) not in known:
-            rest.append(k)
-            known.update(((u, v), (v, u)))
-    rest.reverse()
+    rest = sorted(set(range(n)).difference(kept))
     cong.rollback(0)
     cong.add([*kept, n, n + 1])
 
@@ -351,7 +339,11 @@ def _construct(f: Element, c: int, d: int) -> SynthesisResult:
         raise AssertionError("caret imbalance between domain and range")
     fword: GroupWord = (("f", triple.sign),)
     witnesses = [Witness(fword, triple.u, triple.v), Witness(fword, triple.v, triple.w)]
-    witnesses.extend(Witness(gword, p, q) for p, q in zip(rp, rm))
+    # every trial holds a fixed row's pair and the schema pairs, so no
+    # trial could keep such a row
+    copies = {x for sch in (left, right) for x in (sch.witness.pair, sch.witness.pair[::-1])}
+    witnesses.extend(Witness(gword, p, q) for p, q in zip(rp, rm)
+                     if p != q and (p, q) not in copies)
     cert = Certificate(
         f=f,
         g=from_codes(rp, rm) if sign > 0 else from_codes(rm, rp),

@@ -193,13 +193,29 @@ MUTANTS = (
         "    n = -pow(B, -1, abs(A)) % abs(A) + abs(A)\n",
         ("tests/test_lattice.py::test_companion_contract",),
     ),
-    # --- the g-witnesses are the unreduced rows ---
+    # --- the g-witnesses are the unreduced rows a trial can keep ---
     Mutant(
         "reduced rows emitted as witnesses",
         "synthesis.py",
-        "for p, q in zip(rp, rm))",
-        "for p, q in from_codes(rp, rm).pairs)",
+        "for p, q in zip(rp, rm)\n",
+        "for p, q in from_codes(rp, rm).pairs\n",
         ("tests/test_block_oracle.py::test_corpus_blocks_match_builders",),
+    ),
+    Mutant(
+        "fixed rows emitted as witnesses",
+        "synthesis.py",
+        "if p != q and (p, q) not in copies)",
+        "if (p, q) not in copies)",
+        ("tests/test_prune_oracle.py"
+         "::test_surgery_emits_no_fixed_row_and_no_copy_of_a_schema_pair",),
+    ),
+    Mutant(
+        "copies of the schema shift pairs emitted as witnesses",
+        "synthesis.py",
+        "if p != q and (p, q) not in copies)",
+        "if p != q)",
+        ("tests/test_prune_oracle.py"
+         "::test_surgery_emits_no_fixed_row_and_no_copy_of_a_schema_pair",),
     ),
     # --- the decoder's one field reader and one fault funnel ---
     Mutant(
@@ -223,7 +239,7 @@ MUTANTS = (
         "if kind is int and not isinstance(value, int):",
         (f"{_CODEC}::test_decode_fault_is_pinned",),
     ),
-    # --- the closure engine's prefix rules, family walk and no-trial drops ---
+    # --- the closure engine's prefix rules and family walk ---
     Mutant(
         "the parting at prev's last 0 taken unverified",
         "certify.py",
@@ -245,17 +261,13 @@ MUTANTS = (
         "                rest = t\n",
         ("tests/test_prune_oracle.py::test_family_walk_ends_soon_after_leaving_the_trie",),
     ),
-    Mutant(
-        "a repeated pair dropped at its later copy",
-        "synthesis.py",
-        "    for k in sorted(set(range(n)).difference(kept), reverse=True):\n"
-        "        u, v = seeds[k]\n        if u != v and (u, v) not in known:\n"
-        "            rest.append(k)\n            known.update(((u, v), (v, u)))\n"
-        "    rest.reverse()\n",
-        "    for k in sorted(set(range(n)).difference(kept)):\n"
-        "        u, v = seeds[k]\n        if u != v and (u, v) not in known:\n"
-        "            rest.append(k)\n            known.update(((u, v), (v, u)))\n",
-        ("tests/test_prune_oracle.py::test_pruner_matches_reference_on_repeated_pairs",),
+    Mutant(  # [left-30]: spelled out, the member at 10^30 overflows at once
+        "every member cut by the bound spelled out",
+        "certify.py",
+        """(t * i if i <= _SPELLED_TAIL else f"({t}^{i})")""",
+        "t * i",
+        ("tests/test_certify.py"
+         "::test_a_member_cut_by_a_huge_bound_is_written_as_a_power[left-30]",),
     ),
     # --- the pruner's necessity proof, beside the pruner ---
     Mutant(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thompsonf import (
     IDENTITY,
@@ -237,6 +237,32 @@ def test_bound_override(good):
         "FAIL condition-3: base relation 0000001 ~ 01 unproved at closure bound 6",
     ]
     assert certify_normal_generation(zero).ok
+
+
+def _cut_by_the_bound(doc: dict, side: str, exp: int) -> dict:
+    """A copy of doc with depth 10^exp and the `side` schema's base_count 5
+    above it: the bound cuts that family a few members before its end."""
+    doc = json.loads(json.dumps(doc))
+    doc["depth"] = 10**exp
+    doc[f"{side}_schema"]["base_count"] = 10**exp + 5
+    return doc
+
+
+@pytest.mark.parametrize("exp", [12, 30])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_member_cut_by_a_huge_bound_is_written_as_a_power(good, side, exp):
+    # the walk passes every member the bound admits, so the first member
+    # unproved has 10^exp + 1 letters: the detail must not spell it out
+    doc = _cut_by_the_bound(certificate_to_dict(good), side, exp)
+    cert = certificate_from_json(json.dumps(doc))
+    start = time.perf_counter()
+    verdict = certify_normal_generation(cert)
+    assert time.perf_counter() - start < 0.1
+    code, t, s = ("condition-3", "0", "1") if side == "left" else ("condition-4", "1", "0")
+    # the stem has 4 letters and the suffix 1, so the member at i = 10^exp - 4 is cut
+    assert str(verdict) == (f"FAIL {code}: base relation {t * 4}({t}^{10**exp - 4}){s} ~ 01"
+                            f" unproved at closure bound {10**exp}")
+    assert len(verdict.detail) < 200
 
 
 def test_padded_witness_word_checks_fast():
@@ -547,9 +573,10 @@ def test_every_single_mutation_decodes_or_fails_cleanly():
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc_index=st.sampled_from((0, 1)), rounds=st.integers(1, 3), data=st.data())
-def test_stacked_mutations_decode_or_fail_cleanly(doc_index, rounds, data):
-    doc = json.loads(json.dumps(_FUZZ_DOCS[doc_index]))
+@given(doc=st.sampled_from(_FUZZ_DOCS), rounds=st.integers(1, 3), data=st.data())
+@example(doc=_cut_by_the_bound(_FUZZ_DOCS[0], "left", 12), rounds=0, data=None)
+def test_stacked_mutations_decode_or_fail_cleanly(doc, rounds, data):
+    doc = json.loads(json.dumps(doc))
     for _ in range(rounds):
         if not doc:
             break

@@ -209,6 +209,20 @@ def test_certify_reports_unreadable_json_as_fail(tmp_path, value):
     assert err == ""
 
 
+def test_certify_reports_a_member_cut_by_a_huge_bound_as_a_power(tmp_path):
+    """A 2 KB certificate whose depth bound cuts a schema's family at its
+    10^12th member fails at once, naming that member as a power."""
+    cfile = tmp_path / "cert.json"
+    go(["synthesize", "x0", "--target=1,1", "--cert", str(cfile)])
+    doc = json.loads(cfile.read_text())
+    doc["depth"], doc["left_schema"]["base_count"] = 10**12, 10**12 + 5
+    bad = tmp_path / "cut.json"
+    bad.write_text(json.dumps(doc, indent=2))
+    assert go(["certify", str(bad)]) == (1, "FAIL condition-3: base relation"
+                                         " 0000(0^999999999996)1 ~ 01 unproved"
+                                         " at closure bound 1000000000000\n", "")
+
+
 def test_certify_reads_bytes_so_undecodable_files_fail(tmp_path):
     """A file that is not UTF-8 is bad JSON; json.loads also reads UTF-16/32."""
     bad = tmp_path / "bad.json"

@@ -63,7 +63,8 @@ def reference_prune(cert: Certificate) -> Certificate:
 
 def reference_schema_error(cert, schema: ShiftSchema, cong, bound: int, side: str):
     """The schema check with one `same` query per base member, each member
-    longer than the bound unproved."""
+    longer than the bound unproved. The detail writes a tail of more than
+    `_SPELLED_TAIL` letters as a power."""
     t = schema.tail
     expected_stem = cert.tree[0] if side == "left" else cert.tree[-1]
     expected_tail = "0" if side == "left" else "1"
@@ -90,6 +91,8 @@ def reference_schema_error(cert, schema: ShiftSchema, cong, bound: int, side: st
     for i in range(schema.base_count):
         member = schema.stem + t * i + schema.suffix
         if not (max(len(member), len(cert.w)) <= bound and cong.same(member, cert.w)):
+            if i > certify_module._SPELLED_TAIL:
+                member = f"{schema.stem}({t}^{i}){schema.suffix}"
             return f"base relation {word_to_text(member)} ~ {word_to_text(cert.w)} unproved"
     return None
 
@@ -199,6 +202,33 @@ def injection_bases() -> tuple[Certificate, ...]:
     return tuple(seen)
 
 
+def _pruner_inputs(build) -> list[Certificate]:
+    """The certificates `synthesis._prune_witnesses` is handed while `build` runs."""
+    real, seen = synthesis._prune_witnesses, []
+
+    def capture(cert):
+        seen.append(cert)
+        return real(cert)
+
+    with mock.patch.object(synthesis, "_prune_witnesses", capture):
+        build()
+    return seen
+
+
+def test_surgery_emits_no_fixed_row_and_no_copy_of_a_schema_pair():
+    # every trial holds such a pair already, so the pruner is never handed one
+    certs = _pruner_inputs(lambda: corpus_entries(0, 50))
+    for k in (1, 6, 12, 24, 48):
+        for c in (k, -k):
+            certs += _pruner_inputs(lambda: synthesize(X0, c, k))
+    assert len(certs) >= 60
+    for cert in certs:
+        schema = {cert.left_schema.witness.pair, cert.right_schema.witness.pair}
+        for wit in cert.witnesses:
+            assert wit.lhs != wit.rhs, wit
+            assert schema.isdisjoint({wit.pair, wit.pair[::-1]}), wit
+
+
 def _injected(wit: Witness, left: Witness, kind: str) -> Witness:
     """A plain witness whose pair the certificate holds already, or a trivial one."""
     if kind == "copy":
@@ -214,9 +244,10 @@ def _injected(wit: Witness, left: Witness, kind: str) -> Witness:
 
 @pytest.mark.parametrize("kind", ["copy", "other-word", "reversed", "trivial", "schema"])
 def test_pruner_matches_reference_on_repeated_pairs(kind):
-    # such a witness is dropped with no trial: its pair, or none, is in every
-    # trial state that holds it. Each is put first and last, so a pruner that
-    # kept the wrong one of two copies would keep the witnesses out of order
+    # such a witness is dropped by its own trial: the trial state holds its
+    # pair already, or it has none. Each is put first and last, so a pruner
+    # that kept the wrong one of two copies would keep the witnesses out of
+    # order
     for base in injection_bases():
         wits, n = base.witnesses, len(base.witnesses)
         for j in sorted({0, 1, n // 2, n - 1}):
@@ -390,6 +421,22 @@ def schema_cases(draw):
     SimpleNamespace(tree=("0", "1"), w="0001"),
     [("0", ""), ("0", "00")],
     3,
+))
+# the bound cuts member 8 of a small trie: its tail is spelled out
+@example(case=(
+    "left",
+    ShiftSchema("0", "0", "1", Witness((("g", 1),), "0", ""), 20),
+    SimpleNamespace(tree=("0", "1"), w="01"),
+    [("0", "")],
+    9,
+))
+# the bound cuts member 69: its tail is written as a power
+@example(case=(
+    "left",
+    ShiftSchema("0", "0", "1", Witness((("g", 1),), "00", "0"), 100),
+    SimpleNamespace(tree=("0", "1"), w="01"),
+    [("00", "0")],
+    70,
 ))
 def test_family_walk_matches_member_queries(case):
     side, schema, cert, seeds, bound = case
