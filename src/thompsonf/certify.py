@@ -266,43 +266,29 @@ class SuffixCongruence:
         `t` and `suffix` are single letters, as in every shift schema the
         checker accepts. One walk reads stem + t^i one t at a time, so each
         member costs one step through its suffix instead of a walk from
-        the root. A step on the trie reads one child slot and walks up to
-        its root; off the trie it appends the letter to the unread rest. A
-        member's verdict depends only on the state its stem + t^i reaches,
-        so the walk stops at the first repeated state. A state off the trie
-        never repeats, but its unread rest grows a letter a step, so at most
-        one of its members reaches w's state: the walk takes at most one
-        step per trie node and two more, whatever `count` is."""
-        kids, parent = self._kids, self._parent
-        target = self.walk(w)
-        cur, rest = self.walk(stem)
+        the root. The suffix and t take one step rule: on the trie a step
+        reads one child slot and finds its root; off the trie it appends
+        the letter to the unread rest. A member's verdict depends only on
+        the state its stem + t^i reaches, so the walk stops at the first
+        repeated state. A state off the trie never repeats, but its unread
+        rest grows a letter a step, so at most one of its members reaches
+        w's state: the walk takes at most one step per trie node and two
+        more, whatever `count` is."""
+        kids, find = self._kids, self._find
+        target, state, seen = self.walk(w), self.walk(stem), set()
         tb, sb = t == "1", suffix == "1"
-        seen = set()
         for i in range(count):
+            cur, rest = state
             if rest:
-                member = cur, rest + suffix
+                member, state = (cur, rest + suffix), (cur, rest + t)
             else:
-                nxt = kids[2 * cur + sb]
-                if nxt < 0:
-                    member = cur, suffix
-                else:
-                    while parent[nxt] != nxt:
-                        nxt = parent[nxt]
-                    member = nxt, ""
+                m, n = kids[2 * cur + sb], kids[2 * cur + tb]
+                member = (find(m), "") if m >= 0 else (cur, suffix)
+                state = (find(n), "") if n >= 0 else (cur, t)
             if member != target:
                 return i
             seen.add((cur, rest))
-            if rest:
-                rest += t
-            else:
-                nxt = kids[2 * cur + tb]
-                if nxt < 0:
-                    rest = t
-                else:
-                    while parent[nxt] != nxt:
-                        nxt = parent[nxt]
-                    cur = nxt
-            if (cur, rest) in seen:  # every later member passes too
+            if state in seen:  # every later member passes too
                 return None
         return None
 

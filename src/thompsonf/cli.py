@@ -120,7 +120,7 @@ def _cmd_slopes(args) -> int:
     f = resolve_element(args.element)
     t = parse_dyadic(args.point)
     left = slope_left(f, t) if t.num else None
-    right = slope_right(f, t) if t.num != 1 << t.exp else None
+    right = slope_right(f, t) if (t.num, t.exp) != (1, 0) else None
     sides = (("left", left), ("right", right))
     lines = [f"{side} 2^{k}" for side, k in sides if k is not None]
     return _report(args, {"left_log2": left, "right_log2": right}, *lines)

@@ -20,7 +20,6 @@ from typing import NamedTuple
 from .words import (
     Dyadic,
     Word,
-    _are_complete_codes,
     check_word,
     flip_word,
     is_complete_prefix_code,
@@ -106,9 +105,9 @@ def from_branch_pairs(pairs) -> Element:
     pairs = list(pairs)
     domain = [u for u, _ in pairs]
     rng = [v for _, v in pairs]
-    if not _are_complete_codes((domain, rng)):  # then check the domain alone, to name the code
-        if not is_complete_prefix_code(domain):
-            raise InvalidCode(f"domain is not a complete prefix code: {domain}")
+    if not is_complete_prefix_code(domain):
+        raise InvalidCode(f"domain is not a complete prefix code: {domain}")
+    if not is_complete_prefix_code(rng):
         raise InvalidCode(f"range is not a complete prefix code: {rng}")
     return Element(_reduce_pairs(pairs))
 
@@ -200,7 +199,7 @@ def _find_branch(pairs, stem: Word, tail: str) -> int:
 
 def evaluate(f: Element, t: Dyadic) -> Dyadic:
     """Exact image of a dyadic point."""
-    if t.num == (1 << t.exp):  # t == 1
+    if (t.num, t.exp) == (1, 0):  # t == 1, with no 2^exp built
         return t
     s = t.to_word()
     # u prefixes s (t inside [u]) or u == s0^e (t is the left endpoint of [u])
@@ -210,7 +209,7 @@ def evaluate(f: Element, t: Dyadic) -> Dyadic:
 
 def slope_right(f: Element, t: Dyadic) -> int:
     """log2 of the slope on [t, t+eps); requires 0 <= t < 1."""
-    if t.num == (1 << t.exp):
+    if (t.num, t.exp) == (1, 0):
         raise ValueError("no right slope at t = 1")
     s = t.to_word()
     u, v = f.pairs[_find_branch(f.pairs, s, "0")]
@@ -221,7 +220,7 @@ def slope_left(f: Element, t: Dyadic) -> int:
     """log2 of the slope on (t-eps, t]; requires 0 < t <= 1."""
     if t.num == 0:
         raise ValueError("no left slope at t = 0")
-    if t.num == (1 << t.exp):
+    if (t.num, t.exp) == (1, 0):
         stem: Word = ""
     else:
         s = t.to_word()  # ends in 1

@@ -16,7 +16,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from itertools import chain
 
 Word = str
 
@@ -121,7 +120,7 @@ class Dyadic:
 
         Requires self < 1 (the value 1 has no finite word form with .s = 1).
         """
-        if self.num == (1 << self.exp):
+        if (self.num, self.exp) == (1, 0):
             raise ValueError("1 has no finite binary-word expansion")
         s = format(self.num, f"0{self.exp}b") if self.exp else ""
         return s.rstrip("0")
@@ -193,24 +192,13 @@ def is_complete_prefix_code(branches) -> bool:
     interval lengths 2^-|u| sum to 1. Each pass but the sum is one C loop;
     tests/oracles.py keeps the endpoint scan as a reference.
     """
-    return _are_complete_codes((list(branches),))
-
-
-def _are_complete_codes(codes) -> bool:
-    """True iff every list of words in codes passes is_complete_prefix_code.
-
-    In a sorted code with no word a prefix of the next the interval lengths
-    sum to at most 1 (Kraft), so they sum to 1 in each code iff they sum to
-    len(codes) over all of them: one join, two counts and one length census
-    serve every code, and only the sort and the prefix scan are per code.
-    """
-    if not all(codes):
+    code = list(branches)
+    if not code or not _is_binary("".join(code)):
         return False
-    words = list(chain.from_iterable(codes))
-    if not _is_binary("".join(words)):
-        return False
-    counts = Counter(map(len, words))  # one shift per distinct length below
+    counts = Counter(map(len, code))  # one shift per distinct length below
     top = max(counts)
-    return sum(n << (top - k) for k, n in counts.items()) == len(codes) << top and all(
-        sorted(code) == code and not any(map(str.startswith, code[1:], code)) for code in codes
+    return (
+        sum(n << (top - k) for k, n in counts.items()) == 1 << top
+        and sorted(code) == code
+        and not any(map(str.startswith, code[1:], code))
     )

@@ -100,26 +100,19 @@ MUTANTS = (
             f"{_ELEMENT_ORACLE}::test_no_ancestor_of_a_row_is_a_branch",
         ),
     ),
-    # --- both codes of a table checked in one call ---
-    Mutant(
+    # --- one prefix-code check per code, the domain first ---
+    Mutant(  # ["0", "00", "01"] is sorted and sums to 1 but holds a prefix
         "no per-code prefix scan",
         "words.py",
-        "sorted(code) == code and not any(map(str.startswith, code[1:], code))",
-        "sorted(code) == code",
-        (f"{_CODEC}::test_joint_code_check_needs_each_sum_to_be_one",),
-    ),
-    Mutant(  # X0 itself no longer builds, so every test fails
-        "Kraft total of 1",
-        "words.py",
-        "== len(codes) << top",
-        "== 1 << top",
-        (f"{_CODEC}::test_joint_code_check_needs_each_sum_to_be_one",),
+        "\n        and not any(map(str.startswith, code[1:], code))\n",
+        "\n",
+        (f"{_CODEC}::test_prefix_code_check_on_every_small_list",),
     ),
     Mutant(
         "no range message",
         "element.py",
-        "        if not is_complete_prefix_code(domain):\n",
-        "        if True:\n",
+        "    if not is_complete_prefix_code(domain):\n",
+        "    if not (is_complete_prefix_code(domain) and is_complete_prefix_code(rng)):\n",
         (f"{_CODEC}::test_table_check_reports_the_domain_first",),
     ),
     # --- the table reader's one line loop and one word scan ---
@@ -257,8 +250,8 @@ MUTANTS = (
     Mutant(  # only a stem off the trie leaves it at a member that may reach w's state
         "the family walk's off-trie step losing its rest",
         "certify.py",
-        "                rest += t\n",
-        "                rest = t\n",
+        "(cur, rest + t)",
+        "(cur, t)",
         ("tests/test_prune_oracle.py::test_family_walk_ends_soon_after_leaving_the_trie",),
     ),
     Mutant(  # [left-30]: spelled out, the member at 10^30 overflows at once
@@ -292,6 +285,14 @@ MUTANTS = (
         "sum(abs(k) * (len(assignment[name].pairs) - 1)",
         "sum((len(assignment[name].pairs) - 1)",
         ("tests/test_certify.py::test_word_at_the_budget_is_evaluated",),
+    ),
+    # --- t = 1 read off the normalized pair ---
+    Mutant(  # x0 at 1/4 then comes back unmoved
+        "t = 1 read off num alone",
+        "element.py",
+        "if (t.num, t.exp) == (1, 0):  # t == 1",
+        "if t.num == 1:  # t == 1",
+        ("tests/test_cli.py::test_eval_matches_documented_example",),
     ),
     # --- Dyadic ---
     Mutant(

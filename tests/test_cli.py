@@ -51,6 +51,15 @@ def test_eval_prints_a_point_past_the_int_to_str_limit():
     assert go(["eval", "x0", "3/8"]) == (0, "5/8\n", "")
 
 
+@pytest.mark.parametrize("command", ["eval", "slopes"])
+def test_a_point_too_deep_to_spell_is_a_usage_error(command):
+    """t = 1 is read off the normalized pair, so no 2^exp is built; the word
+    of 1/2^(10^21) is refused at once by its own format."""
+    rc, out, err = go([command, "x0", "1/2^1000000000000000000000"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_eval_json_writes_a_num_past_the_int_to_str_limit_in_binary():
     point = "." + "".join(random.Random(0).choice("01") for _ in range(20000)) + "1"
     rc, out, _ = go(["eval", "--json", "x0", point])

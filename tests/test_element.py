@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +119,16 @@ def test_slopes_past_the_ends_are_refused():
         slope_right(X0, ONE)
     with pytest.raises(ValueError, match="no left slope at t = 0"):
         slope_left(X0, ZERO)
+
+
+@pytest.mark.parametrize("read", [evaluate, slope_left, slope_right])
+def test_a_point_too_deep_to_spell_is_refused_at_once(read):
+    # t = 1 is tested on the pair, with no 2^(10^21) built; the point's word
+    # is then refused by its format before any letter is spelled
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        read(X0, Dyadic(1, 10**21))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_commutators_land_in_derived_subgroup():
